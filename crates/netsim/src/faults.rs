@@ -37,6 +37,12 @@
 //! see different fault alignments, retries (which re-draw the phase) can
 //! escape a window, and everything stays a function of flow identity.
 //!
+//! Calendars live in dense tables indexed by link or node id and are
+//! filled lazily, on an entity's first query: a walk's fault consult is
+//! an index, not a hash lookup, and a world build pays nothing for
+//! entities no probe ever crosses. Since each calendar is a pure function
+//! of identity, the fill order cannot change an answer.
+//!
 //! Selection is via `ROAM_FAULTS=off|light|heavy|<spec>` (see
 //! [`FaultSpec::from_env`]) or the process-wide
 //! [`FaultSpec::override_faults`], mirroring how
@@ -46,7 +52,6 @@ use crate::engine::flow_seed;
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// A two-state Gilbert–Elliott burst-loss process, parameterised by the
@@ -358,6 +363,30 @@ pub enum NodeFaultState {
     Dark,
 }
 
+/// One entity class's calendars, indexed by link or node id. A slot is
+/// filled on the entity's first query (`Some(None)` = the entity is not
+/// fault-prone under the spec), so only touched entities pay for their
+/// calendar, and a query is an index — no hashing on the walk hot path.
+/// Ids are dense network indices, so the table grows to at most the
+/// network's size.
+#[derive(Debug, Default)]
+struct CalendarTable(Vec<Option<Option<FaultCalendar>>>);
+
+impl CalendarTable {
+    /// The calendar of entity `id`, built by `fill` on first touch.
+    fn get_or_fill(
+        &mut self,
+        id: u32,
+        fill: impl FnOnce() -> Option<FaultCalendar>,
+    ) -> Option<&FaultCalendar> {
+        let i = id as usize;
+        if i >= self.0.len() {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i].get_or_insert_with(fill).as_ref()
+    }
+}
+
 /// Per-network fault state: the spec, lazily materialised calendars for
 /// every fault-prone entity, registered failover detours and the plane's
 /// own deterministic counters (kept outside the telemetry plane so
@@ -367,16 +396,16 @@ pub struct FaultPlane {
     spec: FaultSpec,
     enabled: bool,
     /// Link index → flap calendar (`None` = link does not flap).
-    link_cal: HashMap<u32, Option<FaultCalendar>>,
+    link_cal: CalendarTable,
     /// Node index → outage calendar (CG-NATs; `None` = no outages).
-    outage_cal: HashMap<u32, Option<FaultCalendar>>,
+    outage_cal: CalendarTable,
     /// Node index → blackhole calendar (resolvers; `None` = healthy).
-    dns_cal: HashMap<u32, Option<FaultCalendar>>,
+    dns_cal: CalendarTable,
     /// Node index → rebind calendar (CG-NATs; `None` = stable pool).
-    rebind_cal: HashMap<u32, Option<FaultCalendar>>,
+    rebind_cal: CalendarTable,
     /// Node index → failover detour delay, registered by the session
     /// layer at attach time (next-nearest breakout site).
-    failover: HashMap<u32, SimTime>,
+    failover: Vec<Option<SimTime>>,
     /// Packets killed by a fault (dark node or rebind window).
     drops: u64,
     /// Packets that took a registered failover detour.
@@ -390,11 +419,11 @@ impl FaultPlane {
         FaultPlane {
             spec,
             enabled: spec.enabled(),
-            link_cal: HashMap::new(),
-            outage_cal: HashMap::new(),
-            dns_cal: HashMap::new(),
-            rebind_cal: HashMap::new(),
-            failover: HashMap::new(),
+            link_cal: CalendarTable::default(),
+            outage_cal: CalendarTable::default(),
+            dns_cal: CalendarTable::default(),
+            rebind_cal: CalendarTable::default(),
+            failover: Vec::new(),
             drops: 0,
             failovers: 0,
         }
@@ -418,17 +447,22 @@ impl FaultPlane {
     pub fn set_spec(&mut self, spec: FaultSpec) {
         self.spec = spec;
         self.enabled = spec.enabled();
-        self.link_cal.clear();
-        self.outage_cal.clear();
-        self.dns_cal.clear();
-        self.rebind_cal.clear();
+        self.link_cal.0.clear();
+        self.outage_cal.0.clear();
+        self.dns_cal.0.clear();
+        self.rebind_cal.0.clear();
     }
 
     /// Register the failover detour for a gateway node: the extra one-way
     /// delay a packet pays when the gateway is dark but the session can
-    /// break out at the next-nearest site.
+    /// break out at the next-nearest site. `node` is a dense network
+    /// index: the failover table grows to it.
     pub fn set_failover(&mut self, node: u32, detour: SimTime) {
-        self.failover.insert(node, detour);
+        let i = node as usize;
+        if i >= self.failover.len() {
+            self.failover.resize(i + 1, None);
+        }
+        self.failover[i] = Some(detour);
     }
 
     /// Total fault-killed packets so far.
@@ -448,7 +482,7 @@ impl FaultPlane {
     /// (caller keeps the link's base loss).
     pub fn link_burst_loss(&mut self, master: u64, li: u32, at: SimTime) -> Option<f64> {
         let spec = self.spec;
-        let cal = self.link_cal.entry(li).or_insert_with(|| {
+        let cal = self.link_cal.get_or_fill(li, || {
             entity_calendar(
                 master,
                 "fault/flap",
@@ -473,8 +507,7 @@ impl FaultPlane {
         let spec = self.spec;
         let rebinding = self
             .rebind_cal
-            .entry(node)
-            .or_insert_with(|| {
+            .get_or_fill(node, || {
                 entity_calendar(
                     master,
                     "fault/rebind",
@@ -485,7 +518,6 @@ impl FaultPlane {
                     spec.rebind_dark_ms,
                 )
             })
-            .as_ref()
             .is_some_and(|c| c.is_bad(at));
         if rebinding {
             self.drops += 1;
@@ -493,8 +525,7 @@ impl FaultPlane {
         }
         let dark = self
             .outage_cal
-            .entry(node)
-            .or_insert_with(|| {
+            .get_or_fill(node, || {
                 entity_calendar(
                     master,
                     "fault/outage",
@@ -505,13 +536,12 @@ impl FaultPlane {
                     spec.outage_dark_ms,
                 )
             })
-            .as_ref()
             .is_some_and(|c| c.is_bad(at));
         if !dark {
             return NodeFaultState::Up;
         }
-        match self.failover.get(&node) {
-            Some(&detour) => {
+        match self.failover.get(node as usize).copied().flatten() {
+            Some(detour) => {
                 self.failovers += 1;
                 NodeFaultState::Failover(detour)
             }
@@ -527,8 +557,7 @@ impl FaultPlane {
         let spec = self.spec;
         let dark = self
             .dns_cal
-            .entry(node)
-            .or_insert_with(|| {
+            .get_or_fill(node, || {
                 entity_calendar(
                     master,
                     "fault/dns",
@@ -539,7 +568,6 @@ impl FaultPlane {
                     spec.outage_dark_ms,
                 )
             })
-            .as_ref()
             .is_some_and(|c| c.is_bad(at));
         if dark {
             self.drops += 1;
@@ -714,6 +742,33 @@ mod tests {
             NodeFaultState::Failover(SimTime::from_ms(12.0))
         );
         assert_eq!(plane.failovers(), 1);
+    }
+
+    #[test]
+    fn set_spec_rebuilds_calendars_and_keeps_failovers() {
+        let always_dark = FaultSpec {
+            gateway_outage_rate: 1.0,
+            outage_up_ms: 0.001,
+            outage_dark_ms: 1e9,
+            ..FaultSpec::off()
+        };
+        let t = SimTime::from_ms(50.0);
+        let mut plane = FaultPlane::new(FaultSpec::off());
+        plane.set_failover(9, SimTime::from_ms(12.0));
+        // First touch under the healthy spec fills node 9's slots as
+        // "not fault-prone"…
+        assert_eq!(plane.cgnat_state(1, 9, t), NodeFaultState::Up);
+        // …and a new spec must rebuild them, not reuse the stale answer.
+        plane.set_spec(always_dark);
+        assert_eq!(
+            plane.cgnat_state(1, 9, t),
+            NodeFaultState::Failover(SimTime::from_ms(12.0)),
+            "the registered failover survives the spec swap"
+        );
+        assert_eq!(plane.cgnat_state(1, 3, t), NodeFaultState::Dark);
+        assert_eq!((plane.failovers(), plane.drops()), (1, 1));
+        plane.set_spec(FaultSpec::off());
+        assert_eq!(plane.cgnat_state(1, 9, t), NodeFaultState::Up);
     }
 
     #[test]

@@ -887,20 +887,22 @@ impl Network {
         rng: &mut SmallRng,
     ) -> Option<PingResult> {
         let last = path.len() - 1;
-        // Fast path: with telemetry inactive (no counters, no packet
-        // story) and the path far shorter than the echo TTL of 64 (so
-        // expiry is impossible), the encoded packet bytes are pure
-        // ceremony — the walk's only observable outputs are its RNG draws
-        // and the arrival clock. Walk the baked plan arrays
-        // arithmetically; the draw sequence is identical, so results are
-        // bit-for-bit those of the calendar walk below (pinned by the
-        // `fast_and_slow_ping_walks_agree_exactly` test).
-        if !self.telemetry.active() && last < 64 {
-            let t_fwd = self.walk_fast(path, last, WalkDir::Forward, SimTime::ZERO, rng)?;
-            let t_total = self.walk_fast(path, last, WalkDir::Reverse, t_fwd, rng)?;
-            return Some(PingResult {
-                rtt_ms: t_total.as_ms(),
-            });
+        // Fast path: unless the packet story is being recorded, and with
+        // the path far shorter than the echo TTL of 64 (so expiry is
+        // impossible), the encoded packet bytes are pure ceremony — the
+        // walk's only observable outputs are its RNG draws, the arrival
+        // clock and the packet/calendar counters, all of which follow
+        // from the baked plan arrays arithmetically. The draw sequence is
+        // identical, so results and summary telemetry are bit-for-bit
+        // those of the calendar walk below (pinned by the
+        // `fast_and_slow_ping_walks_agree_exactly` test and the
+        // `prop_walk_telemetry` oracle).
+        if !self.telemetry.traces_packets() && last < 64 {
+            return if self.telemetry.mode().enabled() {
+                self.ping_fast::<true>(path, last, rng)
+            } else {
+                self.ping_fast::<false>(path, last, rng)
+            };
         }
         let (src, dst) = (path[0], path[last]);
         self.build_echo_into(pkt, src, dst, ident, 0, 64);
@@ -913,6 +915,21 @@ impl Network {
         self.build_echo_into(pkt, dst, src, ident, 1, 64);
         let (arrived, t_total, _) = self.walk(path, last, WalkDir::Reverse, pkt, t_fwd, rng)?;
         arrived.then_some(PingResult {
+            rtt_ms: t_total.as_ms(),
+        })
+    }
+
+    /// Both legs of an echo on the arithmetic walk; `COUNT` books the
+    /// walks' packet and calendar counters (see [`Network::walk_fast`]).
+    fn ping_fast<const COUNT: bool>(
+        &mut self,
+        path: &RoutePath,
+        last: usize,
+        rng: &mut SmallRng,
+    ) -> Option<PingResult> {
+        let t_fwd = self.walk_fast::<COUNT>(path, last, WalkDir::Forward, SimTime::ZERO, rng)?;
+        let t_total = self.walk_fast::<COUNT>(path, last, WalkDir::Reverse, t_fwd, rng)?;
+        Some(PingResult {
             rtt_ms: t_total.as_ms(),
         })
     }
@@ -1318,15 +1335,22 @@ impl Network {
 
     /// The allocation- and packet-free walk: identical RNG draws, fault
     /// consults and clock arithmetic to [`Network::walk`], minus the
-    /// encoded packet, the event calendar and the telemetry hooks. Valid
-    /// only when telemetry is inactive (there is nothing to record — every
-    /// `record`/`add` in the calendar walk is a no-op) and `upto < 64`
-    /// (the echo TTL cannot expire, so the in-byte decrement is
-    /// unobservable). Returns the arrival time at the far end of the leg,
-    /// or `None` when a lossy link or a dark node ate the packet — the
-    /// fault plane's own drop/failover tallies still advance, because they
-    /// live in [`FaultPlane`], not in telemetry.
-    fn walk_fast(
+    /// encoded packet and the event calendar. Valid only when the packet
+    /// story is off (there are no packet records to write) and
+    /// `upto < 64` (the echo TTL cannot expire, so the in-byte decrement
+    /// is unobservable). Returns the arrival time at the far end of the
+    /// leg, or `None` when a lossy link or a dark node ate the packet —
+    /// the fault plane's own drop/failover tallies still advance, because
+    /// they live in [`FaultPlane`], not in telemetry.
+    ///
+    /// With `COUNT` the walk tallies what the calendar walk would have
+    /// booked — packets sent, forwarded, delivered and dropped, fault
+    /// drops and failovers, one calendar event per scheduled hop — and
+    /// flushes the tally once at the end. A linear walk holds exactly one
+    /// pending arrival after each schedule, so every calendar-depth
+    /// observation is 1.0. Without `COUNT` the tally compiles away and
+    /// the loop is the bare arithmetic walk.
+    fn walk_fast<const COUNT: bool>(
         &mut self,
         route: &RoutePath,
         upto: usize,
@@ -1344,56 +1368,117 @@ impl Network {
             0
         };
         let master = self.master_seed;
-        let mut now = start;
-        for step in 0..=upto {
-            let phys = match dir {
-                WalkDir::Forward => step,
-                WalkDir::Reverse => upto - step,
-            };
-            let mut detour = SimTime::ZERO;
-            if faults_on && step != 0 && plan.fault_kind[phys] != FaultClass::Plain {
-                let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
-                let node = entry.nodes[phys].0;
-                let state = match plan.fault_kind[phys] {
-                    FaultClass::CgNat => self.faults.cgnat_state(master, node, at),
-                    FaultClass::Dns => {
-                        if self.faults.dns_dark(master, node, at) {
-                            NodeFaultState::Dark
-                        } else {
-                            NodeFaultState::Up
+        let mut tally = WalkTally::default();
+        let arrival = 'walk: {
+            let mut now = start;
+            for step in 0..=upto {
+                let phys = match dir {
+                    WalkDir::Forward => step,
+                    WalkDir::Reverse => upto - step,
+                };
+                let mut detour = SimTime::ZERO;
+                if faults_on && step != 0 && plan.fault_kind[phys] != FaultClass::Plain {
+                    let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
+                    let node = entry.nodes[phys].0;
+                    let state = match plan.fault_kind[phys] {
+                        FaultClass::CgNat => self.faults.cgnat_state(master, node, at),
+                        FaultClass::Dns => {
+                            if self.faults.dns_dark(master, node, at) {
+                                NodeFaultState::Dark
+                            } else {
+                                NodeFaultState::Up
+                            }
+                        }
+                        FaultClass::Plain => NodeFaultState::Up,
+                    };
+                    match state {
+                        NodeFaultState::Up => {}
+                        NodeFaultState::Failover(d) => {
+                            detour = d;
+                            if COUNT {
+                                tally.failovers += 1;
+                            }
+                        }
+                        NodeFaultState::Dark => {
+                            if COUNT {
+                                tally.fault_drops += 1;
+                            }
+                            break 'walk None;
                         }
                     }
-                    FaultClass::Plain => NodeFaultState::Up,
+                }
+                if step == upto {
+                    if COUNT {
+                        tally.delivered += 1;
+                    }
+                    break 'walk Some(now);
+                }
+                if COUNT {
+                    // Routers forward; the source host itself sends.
+                    if step == 0 {
+                        tally.sent += 1;
+                    } else {
+                        tally.forwarded += 1;
+                    }
+                }
+                let hop = match dir {
+                    WalkDir::Forward => step,
+                    WalkDir::Reverse => upto - 1 - step,
                 };
-                match state {
-                    NodeFaultState::Up => {}
-                    NodeFaultState::Failover(d) => detour = d,
-                    NodeFaultState::Dark => return None,
+                let mut loss = plan.loss[hop];
+                if faults_on {
+                    let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
+                    if let Some(burst) =
+                        self.faults
+                            .link_burst_loss(master, entry.hop_links[hop], at)
+                    {
+                        loss = loss.max(burst);
+                    }
+                }
+                if loss > 0.0 && rng.gen_bool(loss) {
+                    if COUNT {
+                        tally.link_drops += 1;
+                    }
+                    break 'walk None;
+                }
+                now = now.after(SimTime::from_ms(plan.sample_ms(hop, rng)) + detour);
+                if COUNT {
+                    tally.scheduled += 1;
                 }
             }
-            if step == upto {
-                return Some(now);
-            }
-            let hop = match dir {
-                WalkDir::Forward => step,
-                WalkDir::Reverse => upto - 1 - step,
-            };
-            let mut loss = plan.loss[hop];
-            if faults_on {
-                let at = SimTime::from_nanos(phase.wrapping_add(now.as_nanos()));
-                if let Some(burst) = self
-                    .faults
-                    .link_burst_loss(master, entry.hop_links[hop], at)
-                {
-                    loss = loss.max(burst);
-                }
-            }
-            if loss > 0.0 && rng.gen_bool(loss) {
-                return None;
-            }
-            now = now.after(SimTime::from_ms(plan.sample_ms(hop, rng)) + detour);
+            unreachable!("the loop breaks at step == upto")
+        };
+        if COUNT {
+            tally.flush(&mut self.telemetry);
         }
-        unreachable!("the loop returns at step == upto")
+        arrival
+    }
+}
+
+/// What one arithmetic walk would have booked through the calendar walk's
+/// telemetry hooks, flushed once per walk by [`WalkTally::flush`].
+#[derive(Default)]
+struct WalkTally {
+    sent: u64,
+    forwarded: u64,
+    delivered: u64,
+    link_drops: u64,
+    fault_drops: u64,
+    failovers: u64,
+    /// Hops scheduled onto the (virtual) calendar.
+    scheduled: u64,
+}
+
+impl WalkTally {
+    fn flush(&self, telemetry: &mut Recorder) {
+        telemetry.add(Counter::PacketsSent, self.sent);
+        telemetry.add(Counter::PacketsForwarded, self.forwarded);
+        telemetry.add(Counter::PacketsDelivered, self.delivered);
+        telemetry.add(Counter::PacketsDropped, self.link_drops + self.fault_drops);
+        telemetry.add(Counter::FaultDrops, self.fault_drops);
+        telemetry.add(Counter::FaultFailovers, self.failovers);
+        telemetry.add(Counter::CalendarEvents, self.scheduled);
+        telemetry.observe_n(Hist::CalendarDepth, 1.0, self.scheduled);
     }
 }
 
@@ -1746,15 +1831,14 @@ mod tests {
     #[test]
     fn fast_and_slow_ping_walks_agree_exactly() {
         use crate::engine::{flow_seed, Flow};
-        use roam_telemetry::TelemetryMode;
-        // Same flows, same network build: telemetry off takes the
-        // arithmetic fast path, Summary mode takes the calendar walk. The
-        // draw sequences must be identical, so every outcome (including
-        // which probes are lost) matches bit for bit.
-        let run = |mode: Option<TelemetryMode>| {
+        // Same flows, same network build: without the packet story the
+        // echo takes the arithmetic fast path, with it the calendar walk.
+        // The draw sequences must be identical, so every outcome
+        // (including which probes are lost) matches bit for bit.
+        let run = |trace: bool| {
             let (mut net, ue, sp) = spiky_chain();
-            if let Some(m) = mode {
-                net.set_telemetry_mode(m);
+            if trace {
+                net.enable_tracing();
             }
             (0..200u32)
                 .map(|i| {
@@ -1763,8 +1847,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let fast = run(None);
-        let slow = run(Some(TelemetryMode::Summary));
+        let fast = run(false);
+        let slow = run(true);
         assert_eq!(fast, slow);
         assert!(fast.iter().any(Option::is_some));
         assert!(fast.iter().any(Option::is_none), "loss must fire at 15%");
@@ -1774,8 +1858,9 @@ mod tests {
     fn walk_reuse_never_reallocates_the_calendar() {
         use roam_telemetry::TelemetryMode;
         let (mut net, ue, sp, _) = chain();
-        // Telemetry on forces the calendar walk (the allocation-prone
-        // path) and books calendar depth per scheduled hop.
+        // The packet story forces the calendar walk (the allocation-prone
+        // path); Summary mode books calendar depth per scheduled hop.
+        net.enable_tracing();
         net.set_telemetry_mode(TelemetryMode::Summary);
         // Warm-up: jittered arrival times land in different wheel slots,
         // and each slot's bucket is allocated lazily on first touch, so

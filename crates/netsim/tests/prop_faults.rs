@@ -55,27 +55,70 @@ proptest! {
 
     /// Calendar queries are pure functions of (seed, spec, entity):
     /// lazily materialised planes answer identically regardless of query
-    /// order, which is what makes shard decomposition sound.
+    /// order, which is what makes shard decomposition sound. Ids mix a
+    /// dense low range with sparse high ones, and the planes are queried
+    /// forward, in reverse and in descending id order, so the id-indexed
+    /// tables grow both one slot at a time and in one jump to a high id
+    /// whose lower slots are filled afterwards. Failover registrations on
+    /// a subset of gateways ride the same grow paths.
     #[test]
     fn fault_plane_answers_are_query_order_free(
         master in any::<u64>(),
-        entities in proptest::collection::vec((0u32..32, 0u64..20_000), 1..24),
+        entities in proptest::collection::vec(
+            (prop_oneof![0u32..32, 1_000u32..8_192], 0u64..20_000),
+            1..24,
+        ),
+        failover_every in 2usize..5,
     ) {
         let spec = FaultSpec::heavy();
-        let mut forward = FaultPlane::new(spec);
-        let mut reverse = FaultPlane::new(spec);
-        let answer = |plane: &mut FaultPlane, &(li, ms): &(u32, u64)| {
+        let gateways: Vec<u32> = entities
+            .iter()
+            .step_by(failover_every)
+            .map(|&(id, _)| id)
+            .collect();
+        let plane = |registration: &mut dyn Iterator<Item = &u32>| {
+            let mut p = FaultPlane::new(spec);
+            for &id in registration {
+                p.set_failover(id, SimTime::from_ms(f64::from(id % 17) + 1.0));
+            }
+            p
+        };
+        let answer = |plane: &mut FaultPlane, &(id, ms): &(u32, u64)| {
             let at = SimTime::from_ms(ms as f64);
             (
-                plane.link_burst_loss(master, li, at).map(f64::to_bits),
-                plane.cgnat_state(master, li, at),
-                plane.dns_dark(master, li, at),
+                plane.link_burst_loss(master, id, at).map(f64::to_bits),
+                plane.cgnat_state(master, id, at),
+                plane.dns_dark(master, id, at),
             )
         };
+        let mut forward = plane(&mut gateways.iter());
         let fwd: Vec<_> = entities.iter().map(|e| answer(&mut forward, e)).collect();
+
+        let mut reverse = plane(&mut gateways.iter().rev());
         let mut rev: Vec<_> = entities.iter().rev().map(|e| answer(&mut reverse, e)).collect();
         rev.reverse();
-        prop_assert_eq!(fwd, rev);
+        prop_assert_eq!(&fwd, &rev);
+
+        let mut by_id: Vec<usize> = (0..entities.len()).collect();
+        by_id.sort_by_key(|&i| std::cmp::Reverse(entities[i].0));
+        let mut descending = plane(&mut gateways.iter().rev());
+        let mut desc = vec![None; entities.len()];
+        for &i in &by_id {
+            desc[i] = Some(answer(&mut descending, &entities[i]));
+        }
+        let desc: Vec<_> = desc.into_iter().map(Option::unwrap).collect();
+        prop_assert_eq!(&fwd, &desc);
+
+        // Each answer also equals a fresh plane's: no state leaks between
+        // entities sharing a table.
+        for (e, got) in entities.iter().zip(&fwd) {
+            prop_assert_eq!(got, &answer(&mut plane(&mut gateways.iter()), e));
+        }
+        // The tallies are order-free too.
+        prop_assert_eq!(
+            (forward.drops(), forward.failovers()),
+            (descending.drops(), descending.failovers())
+        );
     }
 }
 

@@ -212,14 +212,27 @@ impl Histogram {
 
     /// Record one observation.
     pub fn observe(&mut self, value: f64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Record `n` observations of `value` at once. The buckets and count
+    /// match `n` single observations exactly; the sum gains `n·value` in
+    /// one addition, which matches `n` running additions bit for bit
+    /// whenever each partial sum is exactly representable — as for an
+    /// integer-valued series whose sums stay below 2^53, where float
+    /// addition cannot round.
+    pub fn observe_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let bounds = self.series.bounds();
         let idx = bounds
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
+        self.counts[idx] += n;
+        self.count += n;
+        self.sum += value * n as f64;
     }
 
     /// Total observations.
@@ -467,6 +480,21 @@ impl Recorder {
     /// Stop recording packet records (the captured story is kept).
     pub fn disable_packet_trace(&mut self) {
         self.trace_packets = false;
+    }
+
+    /// Is the packet story being recorded?
+    #[must_use]
+    pub fn traces_packets(&self) -> bool {
+        self.trace_packets
+    }
+
+    /// Record `n` observations of `value` into series `h` (see
+    /// [`Histogram::observe_n`] for when this equals `n` single calls).
+    #[inline]
+    pub fn observe_n(&mut self, h: Hist, value: f64, n: u64) {
+        if self.mode.enabled() {
+            self.snap.hists[h as usize].observe_n(value, n);
+        }
     }
 
     /// The packet story captured so far. Unlike the pre-telemetry
@@ -773,6 +801,26 @@ mod tests {
         assert_eq!(a.count(), 4);
         assert_eq!(a.buckets()[3], 2);
         assert!((a.sum() - (0.5 + 7.0 + 5000.0 + 7.5)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn observe_n_matches_repeated_observe_on_integer_series() {
+        let mut one = Histogram::new(Hist::CalendarDepth);
+        let mut batched = Histogram::new(Hist::CalendarDepth);
+        for n in [3u64, 0, 1, 17, 64] {
+            for _ in 0..n {
+                one.observe(1.0);
+            }
+            batched.observe_n(1.0, n);
+        }
+        one.observe(9.0);
+        batched.observe_n(9.0, 1);
+        assert_eq!(one, batched);
+        assert_eq!(one.sum().to_bits(), batched.sum().to_bits());
+
+        let mut off = Recorder::off();
+        off.observe_n(Hist::CalendarDepth, 1.0, 5);
+        assert_eq!(off.take().hists[Hist::CalendarDepth as usize].count(), 0);
     }
 
     #[test]

@@ -6,12 +6,25 @@
 //! walks, probe RTTs, attempt counts, byte counts) enter the plane —
 //! transfer durations, where the backends differ in the low bits, never
 //! do.
+//!
+//! The fault schedule is still a process-global pin, so every test here
+//! takes [`serial`] first: the heavy-fault fleet case must not leak its
+//! schedule into a sibling's fault-free campaign.
 
 use roam_bench::CampaignRunner;
-use roamsim::netsim::TransportKind;
+use roamsim::fleet::FleetRunner;
+use roamsim::netsim::{FaultSpec, TransportKind};
 use roamsim::telemetry::TelemetryMode;
+use std::sync::{Mutex, MutexGuard};
 
 const SEED: u64 = 17;
+
+/// Serialises the tests of this file (see the module doc).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 const MATRIX: [(usize, TransportKind); 4] = [
     (1, TransportKind::ClosedForm),
@@ -22,6 +35,7 @@ const MATRIX: [(usize, TransportKind); 4] = [
 
 #[test]
 fn telemetry_bytes_survive_workers_and_transports() {
+    let _serial = serial();
     let mut device = Vec::new();
     let mut survey = Vec::new();
     for (workers, transport) in MATRIX {
@@ -68,6 +82,7 @@ fn telemetry_bytes_survive_workers_and_transports() {
 
 #[test]
 fn summary_mode_is_equally_stable_and_keeps_no_events() {
+    let _serial = serial();
     let a = CampaignRunner::new(SEED)
         .scale(0.02)
         .telemetry(TelemetryMode::Summary)
@@ -84,4 +99,33 @@ fn summary_mode_is_equally_stable_and_keeps_no_events() {
         .render()
         .starts_with("== roam-telemetry summary"));
     assert!(a.telemetry.events().is_empty(), "summary keeps no events");
+}
+
+/// Digest of a degraded, observed fleet run: heavy faults, summary
+/// telemetry, 4 shards. The report alone cannot catch a drifting packet
+/// or calendar counter, so the pinned bytes are the report *and* the
+/// telemetry summary. Recorded when every probe walk under summary
+/// telemetry still went through the packet-building calendar walk; the
+/// arithmetic walk must reproduce it exactly.
+const DEGRADED_FLEET_DIGEST: u64 = 0x8827_cf9f_63a0_ae4f;
+
+#[test]
+fn degraded_fleet_telemetry_bytes_are_pinned() {
+    let _serial = serial();
+    let run = FleetRunner::new(SEED)
+        .users(2_000)
+        .shards(4)
+        .faults(FaultSpec::heavy())
+        .telemetry(TelemetryMode::Summary)
+        .run();
+    let report = run.report.render();
+    let telemetry = run.telemetry.render();
+    for needle in ["packets_forwarded", "calendar_events", "fault_drops"] {
+        assert!(telemetry.contains(needle), "summary lost its {needle} line");
+    }
+    let digest = roam_codec::hash64(format!("{report}{telemetry}").as_bytes());
+    assert_eq!(
+        digest, DEGRADED_FLEET_DIGEST,
+        "degraded fleet bytes drifted (digest {digest:#018x}):\n{report}{telemetry}"
+    );
 }
