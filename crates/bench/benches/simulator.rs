@@ -298,70 +298,61 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
+/// Timers scattered over the u32 nanosecond range (~4.3 s),
+/// Knuth-hashed so insertion order fights pop order — the packet-walk
+/// steady state.
+fn uniform_at(i: u32) -> u64 {
+    u64::from(i.wrapping_mul(2_654_435_761))
+}
+
+/// 64 instants of 64 same-tick events each — the FIFO tie-break path
+/// (batched fleet sessions land like this).
+fn bursty_at(i: u32) -> u64 {
+    u64::from(i / 64) * 1_000_000
+}
+
+/// Exponentially spread timers from 1 ns out to ~9 min, forcing events
+/// through the wheel's upper levels (cascades).
+fn longtail_at(i: u32) -> u64 {
+    (1u64 << (i % 40)) | u64::from(i)
+}
+
 /// The event calendar under the schedule/pop mixes the simulator actually
-/// produces, on both backends (`wheel` is the default hierarchical timing
-/// wheel, `heap` the classic binary-heap reference). Each iteration
-/// `rewind()`s a long-lived queue — the walk-reuse pattern — so slot and
-/// heap capacity persist and the numbers are steady-state schedule+pop
-/// cost, not allocator churn. `bench_json.sh` reports the wheel/heap
-/// ratio per mix.
+/// produces: `wheel` is [`EventQueue`], the runtime timing wheel, and
+/// `heap` is [`HeapCalendar`], the binary-heap reference model. Each
+/// iteration `rewind()`s a long-lived queue — the walk-reuse pattern — so
+/// slot and heap capacity persist and the numbers are steady-state
+/// schedule+pop cost, not allocator churn. `bench_json.sh` reports the
+/// wheel/heap ratio per mix.
 fn bench_event_core(c: &mut Criterion) {
-    use roam_netsim::CalendarKind;
-    let mut g = c.benchmark_group("event_core");
-    for (kind, tag) in [(CalendarKind::Wheel, "wheel"), (CalendarKind::Heap, "heap")] {
-        // Uniform: timers scattered over ~4 ms (Knuth-hashed so insertion
-        // order fights pop order) — the packet-walk steady state.
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("uniform_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    q.schedule(
-                        SimTime::from_nanos(u64::from(i.wrapping_mul(2_654_435_761))),
-                        i,
-                    );
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
-        // Bursty: 64 instants of 64 same-tick events each — the FIFO
-        // tie-break path (batched fleet sessions land like this).
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("bursty_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    q.schedule(SimTime::from_nanos(u64::from(i / 64) * 1_000_000), i);
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
-        // Long-tail: exponentially spread timers from 1 ns out to ~9 min,
-        // forcing events through the wheel's upper levels (cascades).
-        let mut q: EventQueue<u32> = EventQueue::with_kind(kind);
-        g.bench_function(&format!("longtail_4k_{tag}"), |b| {
-            b.iter(|| {
-                q.rewind();
-                for i in 0..4_000u32 {
-                    let exp = i % 40;
-                    q.schedule(SimTime::from_nanos((1u64 << exp) | u64::from(i)), i);
-                }
-                let mut popped = 0u32;
-                while q.pop().is_some() {
-                    popped += 1;
-                }
-                black_box(popped)
-            })
-        });
+    use roam_netsim::HeapCalendar;
+    /// Schedule 4k events at `$at(i)` on the long-lived `$q`, then pop
+    /// them all.
+    macro_rules! churn_4k {
+        ($g:expr, $id:literal, $q:expr, $at:expr) => {{
+            let mut q = $q;
+            $g.bench_function($id, |b| {
+                b.iter(|| {
+                    q.rewind();
+                    for i in 0..4_000u32 {
+                        q.schedule(SimTime::from_nanos($at(i)), i);
+                    }
+                    let mut popped = 0u32;
+                    while q.pop().is_some() {
+                        popped += 1;
+                    }
+                    black_box(popped)
+                })
+            });
+        }};
     }
+    let mut g = c.benchmark_group("event_core");
+    churn_4k!(g, "uniform_4k_wheel", EventQueue::new(), uniform_at);
+    churn_4k!(g, "uniform_4k_heap", HeapCalendar::new(), uniform_at);
+    churn_4k!(g, "bursty_4k_wheel", EventQueue::new(), bursty_at);
+    churn_4k!(g, "bursty_4k_heap", HeapCalendar::new(), bursty_at);
+    churn_4k!(g, "longtail_4k_wheel", EventQueue::new(), longtail_at);
+    churn_4k!(g, "longtail_4k_heap", HeapCalendar::new(), longtail_at);
     g.finish();
 }
 

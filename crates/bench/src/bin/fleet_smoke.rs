@@ -33,8 +33,8 @@
 //!
 //! Knobs: `ROAM_FLEET_USERS/SHARDS/DAYS/SAMPLE/MIX`, `ROAM_PARALLEL`,
 //! `ROAM_FLEET_WORKERS`, `ROAM_CHECKPOINT_DIR`, `ROAM_CHECKPOINT_EVERY`,
-//! `ROAM_RESUME`, `ROAM_TRANSPORT`, `ROAM_CALENDAR`, `ROAM_TELEMETRY`,
-//! `ROAM_FAULTS`, `ROAM_SEED`, `ROAM_FLEET_EXPORT`, and the worker
+//! `ROAM_RESUME`, `ROAM_TRANSPORT`, `ROAM_TELEMETRY`, `ROAM_FAULTS`,
+//! `ROAM_SEED`, `ROAM_FLEET_EXPORT`, and the worker
 //! chaos/supervision plane: `ROAM_WORKER_FAULTS`, `ROAM_WORKER_RETRIES`,
 //! `ROAM_WORKER_DEADLINE_MS` (recovery work is reported on stderr as
 //! `fleet_smoke_worker_restarts: N (...)`; stdout bytes never change).

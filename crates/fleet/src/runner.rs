@@ -29,10 +29,10 @@
 //!
 //! Together these make [`FleetReport::render`] byte-identical across
 //! `ROAM_PARALLEL` (threads), `ROAM_FLEET_WORKERS` (processes),
-//! `ROAM_FLEET_SHARDS` (partitioning), `ROAM_TRANSPORT` and
-//! `ROAM_CALENDAR` — and, with checkpointing on, across a kill and
-//! resume: the per-user streams mean a shard's `next_uid` cursor plus
-//! its mergeable aggregates are its *complete* state.
+//! `ROAM_FLEET_SHARDS` (partitioning) and `ROAM_TRANSPORT` — and, with
+//! checkpointing on, across a kill and resume: the per-user streams mean
+//! a shard's `next_uid` cursor plus its mergeable aggregates are its
+//! *complete* state.
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
 use crate::config::{env_parse, FleetConfig, SessionMix};
@@ -41,12 +41,12 @@ use crate::merge::merge_outcomes;
 use crate::plan;
 use crate::report::FleetReport;
 use crate::supervisor::{
-    self, CalendarPin, FaultsPin, SupervisionStats, SupervisorPolicy, TransportPin, WorkerFaultSpec,
+    self, FaultsPin, SupervisionStats, SupervisorPolicy, TransportPin, WorkerFaultSpec,
 };
 use crate::worker::WorkerJob;
 use roam_codec::CodecError;
 use roam_measure::{run_shards, Dataset, DegradationSummary, Exporter, RunMode, SharedSink};
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
+use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::{TelemetryMode, TelemetryReport};
 use std::path::PathBuf;
 
@@ -605,7 +605,6 @@ impl FleetRunner {
         // values go into worker jobs and the checkpoint manifest, so a
         // resumed or worker-run fleet can never see different ones.
         let resolved_transport = self.transport.unwrap_or_else(TransportKind::current);
-        let resolved_calendar = CalendarKind::current();
         let resolved_faults = self.faults.unwrap_or_else(FaultSpec::current);
         let policy = self.checkpoint_dir.as_ref().map(|dir| CheckpointPolicy {
             dir: dir.clone(),
@@ -641,9 +640,8 @@ impl FleetRunner {
                 config: self.config,
                 telemetry: self.telemetry,
                 transport: resolved_transport,
-                calendar: resolved_calendar,
                 faults: resolved_faults,
-                worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::current),
+                worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::from_env),
                 deadline_ms: self
                     .worker_deadline_ms
                     .unwrap_or_else(|| SupervisorPolicy::from_env().deadline_ms)
@@ -676,16 +674,14 @@ impl FleetRunner {
             return Ok(run);
         }
         let outcomes = {
-            // Pin the transport and calendar for the whole run even when
-            // they come from the environment: `TransportKind::current()`
-            // runs once per probe and `CalendarKind::current()` once per
-            // transfer, and with no override installed each call is an
+            // Pin the transport for the whole run even when it comes from
+            // the environment: `TransportKind::current()` runs once per
+            // probe, and with no override installed each call is an
             // `env::var` lookup — pure overhead at population scale.
-            // Snapshotting the resolved kind into the override turns both
+            // Snapshotting the resolved kind into the override turns it
             // into one atomic load, without changing which backend runs
-            // (both knobs are output-invariant).
+            // (the knob is output-invariant).
             let _pin = TransportPin::install(resolved_transport);
-            let _calendar_pin = CalendarPin::install(resolved_calendar);
             let _fault_pin = self.faults.map(FaultsPin::install);
             run_shards(self.mode, shards, |i| {
                 run_fleet_shard(

@@ -56,7 +56,7 @@ use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
+use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetrySnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
@@ -202,28 +202,6 @@ impl WorkerFaultSpec {
         }
     }
 
-    /// Install (or clear, with `None`) a process-wide override that
-    /// takes precedence over `ROAM_WORKER_FAULTS`. Returns the previous
-    /// override so callers can restore it.
-    pub fn override_worker_faults(spec: Option<WorkerFaultSpec>) -> Option<WorkerFaultSpec> {
-        let mut slot = match WORKER_FAULTS_OVERRIDE.lock() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::replace(&mut slot, spec)
-    }
-
-    /// The effective spec for this call: the process-wide override if
-    /// installed, otherwise whatever `ROAM_WORKER_FAULTS` says.
-    #[must_use]
-    pub fn current() -> Self {
-        let slot = match WORKER_FAULTS_OVERRIDE.lock() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.unwrap_or_else(WorkerFaultSpec::from_env)
-    }
-
     /// The injected fate of one `(shard, attempt)` execution: one keyed
     /// uniform draw against the cumulative class probabilities. Pure in
     /// `(seed, shard, attempt)`, so parent and worker — and any two
@@ -263,10 +241,6 @@ impl WorkerFaultSpec {
         None
     }
 }
-
-/// `Some(spec)` = override installed, `None` = follow the environment.
-static WORKER_FAULTS_OVERRIDE: std::sync::Mutex<Option<WorkerFaultSpec>> =
-    std::sync::Mutex::new(None);
 
 /// One injected worker sabotage, decided by [`WorkerFaultSpec::decide`]
 /// and executed by the worker's serve loop.
@@ -534,23 +508,6 @@ impl Drop for TransportPin {
     }
 }
 
-/// Restores the previous process-wide calendar override on drop.
-pub(crate) struct CalendarPin(Option<Option<CalendarKind>>);
-
-impl CalendarPin {
-    pub(crate) fn install(kind: CalendarKind) -> Self {
-        CalendarPin(Some(CalendarKind::override_calendar(Some(kind))))
-    }
-}
-
-impl Drop for CalendarPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            CalendarKind::override_calendar(prev);
-        }
-    }
-}
-
 /// Restores the previous process-wide fault-spec override on drop.
 pub(crate) struct FaultsPin(Option<Option<FaultSpec>>);
 
@@ -790,7 +747,6 @@ pub(crate) fn supervise(
     // cannot differ.
     if !quarantine.is_empty() {
         let _transport = TransportPin::install(job_proto.transport);
-        let _calendar = CalendarPin::install(job_proto.calendar);
         let _faults = FaultsPin::install(job_proto.faults);
         quarantine.sort_unstable();
         quarantine.dedup();
@@ -869,7 +825,6 @@ fn spawn_slot(
             config: job_proto.config,
             telemetry: job_proto.telemetry,
             transport: job_proto.transport,
-            calendar: job_proto.calendar,
             faults: job_proto.faults,
             worker_faults: job_proto.worker_faults,
             deadline_ms: job_proto.deadline_ms,

@@ -8,7 +8,7 @@
 //! 1. The parent spawns `fleet_worker` processes, writes one
 //!    [`KIND_JOB`] frame to each worker's stdin, and closes it. The job
 //!    carries everything the worker needs — seed, sizing, telemetry
-//!    mode, the *resolved* transport/calendar/fault knobs (workers never
+//!    mode, the *resolved* transport and fault knobs (workers never
 //!    consult the environment, so parent and workers can't diverge), its
 //!    striped shard list with per-shard resume states, and the
 //!    checkpoint policy.
@@ -47,7 +47,7 @@ use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
-use roam_netsim::{CalendarKind, FaultSpec, TransportKind};
+use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::{TelemetryMode, TelemetrySnapshot};
 use std::path::PathBuf;
 
@@ -57,7 +57,8 @@ mod job_tag {
     pub const CONFIG: u32 = 2;
     pub const TELEMETRY: u32 = 3;
     pub const TRANSPORT: u32 = 4;
-    pub const CALENDAR: u32 = 5;
+    // 5 carried the retired calendar-backend knob: retired, do not
+    // reuse. Older frames that still carry it decode unchanged.
     pub const FAULTS: u32 = 6;
     pub const SHARD: u32 = 7;
     pub const CKPT_DIR: u32 = 8;
@@ -106,7 +107,6 @@ pub(crate) struct WorkerJob {
     pub config: FleetConfig,
     pub telemetry: TelemetryMode,
     pub transport: TransportKind,
-    pub calendar: CalendarKind,
     pub faults: FaultSpec,
     /// The resolved worker-fault injection spec — shipped in the job
     /// (like every other knob) so parent and workers cannot diverge on
@@ -130,13 +130,6 @@ impl WorkerJob {
             match self.transport {
                 TransportKind::ClosedForm => 0,
                 TransportKind::Engine => 1,
-            },
-        );
-        e.u64(
-            job_tag::CALENDAR,
-            match self.calendar {
-                CalendarKind::Wheel => 0,
-                CalendarKind::Heap => 1,
             },
         );
         e.section(job_tag::FAULTS, |se| encode_faults(se, &self.faults));
@@ -178,7 +171,6 @@ impl WorkerJob {
         let mut config = None;
         let mut telemetry = TelemetryMode::Off;
         let mut transport = TransportKind::ClosedForm;
-        let mut calendar = CalendarKind::Wheel;
         let mut faults = None;
         let mut worker_faults = WorkerFaultSpec::off();
         let mut deadline_ms = crate::supervisor::DEFAULT_WORKER_DEADLINE_MS;
@@ -194,13 +186,6 @@ impl WorkerJob {
                         0 => TransportKind::ClosedForm,
                         1 => TransportKind::Engine,
                         _ => return Err(CodecError::BadValue("transport kind")),
-                    };
-                }
-                job_tag::CALENDAR => {
-                    calendar = match v.as_u64(tag)? {
-                        0 => CalendarKind::Wheel,
-                        1 => CalendarKind::Heap,
-                        _ => return Err(CodecError::BadValue("calendar kind")),
                     };
                 }
                 job_tag::FAULTS => faults = Some(decode_faults(&mut v.as_section(tag)?)?),
@@ -275,7 +260,6 @@ impl WorkerJob {
             config: config.ok_or(CodecError::MissingField("config"))?,
             telemetry,
             transport,
-            calendar,
             faults: faults.ok_or(CodecError::MissingField("faults"))?,
             worker_faults,
             deadline_ms,
@@ -511,7 +495,6 @@ pub fn serve(
     // Pin the resolved knobs for the life of the process. No restore
     // guards: the process exits when the job is done.
     TransportKind::override_transport(Some(job.transport));
-    CalendarKind::override_calendar(Some(job.calendar));
     FaultSpec::override_faults(Some(job.faults));
     for spec in job.shards {
         let (index, attempt) = (spec.index, spec.attempt);
@@ -593,7 +576,6 @@ mod tests {
             config: FleetConfig::default(),
             telemetry: TelemetryMode::Summary,
             transport: TransportKind::Engine,
-            calendar: CalendarKind::Heap,
             faults: FaultSpec::heavy(),
             worker_faults: WorkerFaultSpec::light(),
             deadline_ms: 12_345,
@@ -630,7 +612,6 @@ mod tests {
         let back = WorkerJob::decode(parsed.payload).expect("job decodes");
         assert_eq!(back.seed, 42);
         assert_eq!(back.transport, TransportKind::Engine);
-        assert_eq!(back.calendar, CalendarKind::Heap);
         assert_eq!(back.worker_faults, WorkerFaultSpec::light());
         assert_eq!(back.deadline_ms, 12_345);
         assert_eq!(back.shards.len(), 2);
@@ -643,6 +624,16 @@ mod tests {
         let policy = back.checkpoint.expect("policy");
         assert_eq!(policy.every_days, 9000);
         assert_eq!(policy.halt_after, Some(1));
+
+        // A frame from a parent that still sends the retired calendar
+        // field (tag 5, here naming the old heap backend) decodes to the
+        // same job: re-encoding it yields the original bytes.
+        let mut retired = Encoder::new();
+        retired.u64(5, 1);
+        let mut payload = parsed.payload.to_vec();
+        payload.extend_from_slice(&retired.into_bytes());
+        let legacy = WorkerJob::decode(&payload).expect("frame with tag 5 decodes");
+        assert_eq!(legacy.to_frame(), frame);
     }
 
     #[test]

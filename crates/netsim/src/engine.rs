@@ -28,7 +28,7 @@
 //! [`TransportKind::override_transport`]; measurement code should resolve
 //! the effective choice through [`TransportKind::current`].
 
-use crate::event::{CalendarKind, EventQueue};
+use crate::event::EventQueue;
 use crate::throughput::{mathis_cap_mbps, TransferSpec, INIT_CWND_SEGMENTS, MSS};
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
@@ -256,16 +256,9 @@ impl EngineSteppedTransport {
         ms
     }
 
-    /// Borrow the thread-local calendar, rebuilt if the process-wide
-    /// calendar kind changed since this thread last timed a transfer.
+    /// Borrow the thread-local calendar.
     fn with_calendar<R>(f: impl FnOnce(&mut EventQueue<TransferEvent>) -> R) -> R {
-        TRANSFER_CALENDAR.with(|cell| {
-            let mut q = cell.borrow_mut();
-            if q.kind() != CalendarKind::current() {
-                *q = EventQueue::new();
-            }
-            f(&mut q)
-        })
+        TRANSFER_CALENDAR.with(|cell| f(&mut cell.borrow_mut()))
     }
 }
 

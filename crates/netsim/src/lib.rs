@@ -39,7 +39,7 @@ pub mod wire;
 pub use engine::{
     flow_seed, ClosedFormTransport, EngineSteppedTransport, Flow, FlowId, Transport, TransportKind,
 };
-pub use event::{CalendarKind, EventQueue};
+pub use event::{EventQueue, HeapCalendar};
 pub use faults::{FaultCalendar, FaultPlane, FaultSpec, GilbertElliott, NodeFaultState};
 pub use ip::{is_private, Ipv4Net};
 pub use link::{LatencyModel, Link, LinkClass};

@@ -1230,13 +1230,9 @@ impl Network {
             0
         };
         let master = self.master_seed;
-        // `replace` (not `take`): a Default queue would consult
-        // `ROAM_CALENDAR` — an env read per walk. The hollow stand-in is
-        // an unallocated wheel that is never scheduled on.
-        let mut q = std::mem::replace(
-            &mut self.walk_queue,
-            EventQueue::with_kind(crate::event::CalendarKind::Wheel),
-        );
+        // The hollow stand-in `take` leaves behind is an unallocated wheel
+        // that is never scheduled on.
+        let mut q = std::mem::take(&mut self.walk_queue);
         q.rewind();
         q.schedule(start, 0usize); // the packet leaves the first node
         let mut outcome: Option<Option<(bool, SimTime, Option<usize>)>> = None;
