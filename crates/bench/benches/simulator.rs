@@ -153,8 +153,8 @@ fn bench_netsim(c: &mut Criterion) {
 fn bench_faults(c: &mut Criterion) {
     let mut g = c.benchmark_group("faults");
     let ping_under = |g: &mut criterion::BenchmarkGroup<'_>, name: &str, spec: FaultSpec| {
-        let prev = FaultSpec::override_faults(Some(spec));
         let mut world = World::build(7);
+        world.net.set_faults(spec);
         let ep = world.attach_esim(Country::PAK);
         let google = world
             .internet
@@ -165,7 +165,6 @@ fn bench_faults(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| black_box(world.net.ping(ep.att.ue, google)))
         });
-        FaultSpec::override_faults(prev);
     };
     ping_under(&mut g, "ping_faults_off", FaultSpec::off());
     ping_under(&mut g, "ping_faults_heavy", FaultSpec::heavy());

@@ -22,6 +22,9 @@
 //! `CampaignRunner::from_env` shorthands — they read `ROAM_PARALLEL`,
 //! `ROAM_TRANSPORT` and `ROAM_TELEMETRY` (safe because none of the knobs
 //! can change the bytes, only the wall clock and what gets reported).
+//! A run resolves its transport and fault schedule once and sets them on
+//! every world it builds, so concurrent runs in one process never see
+//! each other's knobs.
 
 use roam_core::EsimObservation;
 use roam_geo::{City, Country};
@@ -106,7 +109,8 @@ impl DeviceCampaignRun {
 }
 
 /// Run one country's device-campaign shard: its own world built from the
-/// master seed. Every measurement runs on a flow keyed by its day-chunk
+/// master seed, under the process-default fault schedule and transport.
+/// Every measurement runs on a flow keyed by its day-chunk
 /// attachment and its plan label — never by execution order, so shard
 /// results do not depend on which worker ran them, or when.
 #[must_use]
@@ -115,23 +119,22 @@ pub fn run_device_shard(
     scale: f64,
     spec: &DeviceCountrySpec,
 ) -> (DeviceCountryRun, CampaignData) {
-    let (run, data, _, _) = run_device_shard_with(seed, scale, spec, TelemetryMode::Off);
+    let (run, data, _) = run_device_shard_with(World::build(seed), scale, spec, TelemetryMode::Off);
     (run, data)
 }
 
-/// [`run_device_shard`] with a telemetry mode, also returning the shard's
-/// telemetry snapshot and its wall-clock milliseconds. This is the unit
-/// the [`CampaignRunner`] merges: snapshots fold together in shard-key
-/// order, wall times stay outside the byte-stable report.
+/// [`run_device_shard`] on a caller-built `world` (fresh from
+/// [`World::build`], with the run's faults and transport set on its
+/// network) and a telemetry mode, also returning the shard's telemetry
+/// snapshot. This is the unit the [`CampaignRunner`] merges: snapshots
+/// fold together in shard-key order.
 #[must_use]
 pub fn run_device_shard_with(
-    seed: u64,
+    mut world: World,
     scale: f64,
     spec: &DeviceCountrySpec,
     telemetry: TelemetryMode,
-) -> (DeviceCountryRun, CampaignData, TelemetrySnapshot, f64) {
-    let started = Instant::now();
-    let mut world = World::build(seed);
+) -> (DeviceCountryRun, CampaignData, TelemetrySnapshot) {
     world.net.set_telemetry_mode(telemetry);
     let mut data = CampaignData::default();
     let mut esims = Vec::new();
@@ -164,7 +167,7 @@ pub fn run_device_shard_with(
         esims,
         sim: last_sim.expect("at least one chunk"),
     };
-    (run, data, snap, started.elapsed().as_secs_f64() * 1e3)
+    (run, data, snap)
 }
 
 /// One full web-campaign run: per-country records plus the run's
@@ -242,7 +245,7 @@ impl std::fmt::Debug for CampaignRunner {
 
 impl CampaignRunner {
     /// A sequential, full-scale, telemetry-off runner for `seed`, with the
-    /// transport left to `ROAM_TRANSPORT`.
+    /// transport and fault schedule left to the process default.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         CampaignRunner {
@@ -257,8 +260,9 @@ impl CampaignRunner {
     }
 
     /// A runner configured from the environment: worker count from
-    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the transport is
-    /// resolved per probe from `ROAM_TRANSPORT` (no override installed).
+    /// `ROAM_PARALLEL`, telemetry from `ROAM_TELEMETRY`; the transport and
+    /// fault schedule are read from `ROAM_TRANSPORT` / `ROAM_FAULTS` once
+    /// when each run starts.
     #[must_use]
     pub fn from_env(seed: u64) -> Self {
         CampaignRunner {
@@ -293,17 +297,18 @@ impl CampaignRunner {
         self
     }
 
-    /// Pin the transport backend for the run, overriding `ROAM_TRANSPORT`
-    /// (restored when the run finishes).
+    /// Select the transport backend every shard's network uses (default:
+    /// the process default, [`TransportKind::current`], read once when
+    /// the run starts).
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = Some(kind);
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`
-    /// (restored when the run finishes). Every shard's world resolves the
-    /// same spec, so all shards see identical fault windows.
+    /// Select the fault schedule every shard's network carries (default:
+    /// the process default, [`FaultSpec::current`], read once when the
+    /// run starts), so all shards see identical fault windows.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
@@ -329,14 +334,18 @@ impl CampaignRunner {
         self
     }
 
-    fn pin_transport(&self) -> (TransportPin, FaultsPin) {
-        (
-            TransportPin(
-                self.transport
-                    .map(|k| TransportKind::override_transport(Some(k))),
-            ),
-            FaultsPin(self.faults.map(|s| FaultSpec::override_faults(Some(s)))),
-        )
+    /// Resolve the run's fault schedule and transport once and return the
+    /// run's world factory: every world it builds carries them by value.
+    fn worlds(&self) -> impl Fn() -> World + Sync {
+        let seed = self.seed;
+        let faults = self.faults.unwrap_or_else(FaultSpec::current);
+        let transport = self.transport.unwrap_or_else(TransportKind::current);
+        move || {
+            let mut world = World::build(seed);
+            world.net.set_faults(faults);
+            world.net.set_transport(transport);
+            world
+        }
     }
 
     /// Run the device campaign across the 10 Table-4 countries.
@@ -347,10 +356,13 @@ impl CampaignRunner {
     /// measurement.
     #[must_use]
     pub fn run(&self) -> DeviceCampaignRun {
-        let _pin = self.pin_transport();
+        let worlds = self.worlds();
         let specs = World::device_campaign_specs();
         let results = run_shards(self.mode, specs.len(), |i| {
-            run_device_shard_with(self.seed, self.scale, &specs[i], self.telemetry)
+            let started = Instant::now();
+            let (shard, data, snap) =
+                run_device_shard_with(worlds(), self.scale, &specs[i], self.telemetry);
+            (shard, data, snap, started.elapsed().as_secs_f64() * 1e3)
         });
         let mut data = CampaignData::default();
         let mut shards = Vec::with_capacity(results.len());
@@ -383,12 +395,12 @@ impl CampaignRunner {
     /// what the campaign reproduces.
     #[must_use]
     pub fn run_web(&self) -> WebCampaignRun {
-        let _pin = self.pin_transport();
+        let worlds = self.worlds();
         let specs = World::web_campaign_specs();
         let out = run_shards(self.mode, specs.len(), |i| {
             let started = Instant::now();
             let spec = &specs[i];
-            let mut world = World::build(self.seed);
+            let mut world = worlds();
             world.net.set_telemetry_mode(self.telemetry);
             let ep = world.attach_esim(spec.country);
             let mut records = Vec::new();
@@ -416,7 +428,7 @@ impl CampaignRunner {
             results.push((country, records, ep));
         }
         WebCampaignRun {
-            world: World::build(self.seed),
+            world: worlds(),
             results,
             telemetry: merge_shards(self.telemetry, snaps),
             timings,
@@ -428,13 +440,13 @@ impl CampaignRunner {
     /// shard per country.
     #[must_use]
     pub fn run_survey(&self, attaches_per_country: u32) -> SurveyRun {
-        let _pin = self.pin_transport();
-        let world = World::build(self.seed);
+        let worlds = self.worlds();
+        let world = worlds();
         let countries = world.measured_countries();
         let out = run_shards(self.mode, countries.len(), |i| {
             let started = Instant::now();
             let country = countries[i];
-            let mut shard_world = World::build(self.seed);
+            let mut shard_world = worlds();
             shard_world.net.set_telemetry_mode(self.telemetry);
             let eps: Vec<Endpoint> = (0..attaches_per_country)
                 .map(|_| shard_world.attach_esim(country))
@@ -458,30 +470,6 @@ impl CampaignRunner {
             observations,
             telemetry: merge_shards(self.telemetry, snaps),
             timings,
-        }
-    }
-}
-
-/// Restores the previous process-wide transport override when a pinned
-/// run finishes (even on unwind).
-struct TransportPin(Option<Option<TransportKind>>);
-
-impl Drop for TransportPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            TransportKind::override_transport(prev);
-        }
-    }
-}
-
-/// Restores the previous process-wide fault-spec override when a pinned
-/// run finishes (even on unwind).
-struct FaultsPin(Option<Option<FaultSpec>>);
-
-impl Drop for FaultsPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            FaultSpec::override_faults(prev);
         }
     }
 }
@@ -694,17 +682,33 @@ mod tests {
     }
 
     #[test]
-    fn pinned_transport_restores_the_override() {
-        use roam_netsim::TransportKind;
-        let before = TransportKind::override_transport(None);
-        TransportKind::override_transport(before);
+    fn run_knobs_never_reach_the_process_default() {
+        use roam_measure::{CellValue, DataSink, Dataset};
+        use std::sync::{Arc, Mutex};
+        /// Records the process defaults when the first row arrives, i.e.
+        /// while the run is still exporting.
+        #[derive(Default)]
+        struct DefaultsAtExport(Option<(FaultSpec, TransportKind)>);
+        impl DataSink for DefaultsAtExport {
+            fn row(&mut self, _: Dataset, _: &[CellValue<'_>]) {
+                self.0
+                    .get_or_insert_with(|| (FaultSpec::current(), TransportKind::current()));
+            }
+        }
+        let before = (FaultSpec::current(), TransportKind::current());
+        let sink = Arc::new(Mutex::new(DefaultsAtExport::default()));
         let _ = CampaignRunner::new(5)
             .scale(0.02)
+            .faults(FaultSpec::heavy())
             .transport(TransportKind::Engine)
+            .sink(sink.clone() as SharedSink)
             .run();
-        let after = TransportKind::override_transport(None);
-        TransportKind::override_transport(after);
-        assert_eq!(before, after, "pin must restore the previous override");
+        let seen = sink.lock().unwrap().0;
+        assert_eq!(
+            seen,
+            Some(before),
+            "a run's knobs leaked into process state"
+        );
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //! Determinism is inherited wholesale from the shard contract: every
 //! per-user observable derives from `flow_seed(seed, "fleet/…/<uid>")`,
 //! so a batch's report and session stream depend only on
-//! `(seed, config, lo, hi)` — not on the sub-shard count, the thread
+//! `(seed, config, faults, lo, hi)` — not on the sub-shard count, the thread
 //! count, the transport backend, or which other cohorts tick in the
 //! same process. Two cohorts with disjoint uid ranges draw from
 //! disjoint stream families by construction.
 
 use crate::config::FleetConfig;
-use crate::exec::{run_fleet_shard, ShardSpec};
+use crate::exec::{run_fleet_shard, RunSpec, ShardSpec};
 use crate::report::FleetReport;
 use crate::sink::SessionRecord;
 use roam_measure::{run_shards, RunMode};
+use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::{merge_shards, TelemetryMode, TelemetryReport};
 
 /// One cohort tick's work order: drive users `[lo, hi)` of `seed`'s
@@ -46,6 +47,9 @@ pub struct UserBatch {
     pub mode: RunMode,
     /// What the telemetry plane records.
     pub telemetry: TelemetryMode,
+    /// The fault schedule; `None` takes the process default
+    /// ([`FaultSpec::current`]) when [`UserBatch::run`] starts.
+    pub faults: Option<FaultSpec>,
     /// Record per-session [`SessionRecord`]s (the service's export
     /// stream) in addition to the aggregates.
     pub record_sessions: bool,
@@ -75,6 +79,7 @@ impl UserBatch {
             shards: 1,
             mode: RunMode::Sequential,
             telemetry: TelemetryMode::Off,
+            faults: None,
             record_sessions: false,
         }
     }
@@ -105,22 +110,23 @@ impl UserBatch {
             };
         }
         let n = (self.shards.max(1) as u64).min(span) as usize;
+        let run = RunSpec {
+            seed: self.seed,
+            config: self.config,
+            telemetry: self.telemetry,
+            transport: TransportKind::current(),
+            faults: self.faults.unwrap_or_else(FaultSpec::current),
+        };
         let mut outcomes = run_shards(self.mode, n, |i| {
             let (lo, hi) = self.sub_range(i, n);
-            run_fleet_shard(
-                self.seed,
-                &self.config,
-                ShardSpec {
-                    index: i,
-                    lo,
-                    hi,
-                    resume: None,
-                    attempt: 0,
-                },
-                self.telemetry,
-                None,
-                self.record_sessions,
-            )
+            let spec = ShardSpec {
+                index: i,
+                lo,
+                hi,
+                resume: None,
+                attempt: 0,
+            };
+            run_fleet_shard(&run, spec, None, self.record_sessions)
         });
         outcomes.sort_by_key(|o| o.index);
         let mut report = FleetReport::new(self.config.sample);

@@ -21,10 +21,27 @@ use roam_econ::{EsimOffer, Market};
 use roam_measure::campaign::RecordTag;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
-use roam_netsim::{Network, NodeId, TransferSpec, TransportKind};
+use roam_netsim::{FaultSpec, Network, NodeId, TransferSpec, TransportKind};
 use roam_telemetry::{Counter, Sink, TelemetryMode, TelemetrySnapshot};
 use roam_world::World;
 use std::time::Instant;
+
+/// The values every shard of one run shares, resolved once at run entry
+/// and handed to each shard by value: a shard never reads the
+/// environment or a process-wide override.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSpec {
+    /// Master seed.
+    pub seed: u64,
+    /// Population and session knobs.
+    pub config: FleetConfig,
+    /// What the telemetry plane records.
+    pub telemetry: TelemetryMode,
+    /// The transport every shard's network times transfers with.
+    pub transport: TransportKind,
+    /// The fault schedule every shard's network carries.
+    pub faults: FaultSpec,
+}
 
 /// One shard's work order: its index, its user range, and (when
 /// resuming) the partial state to continue from.
@@ -235,16 +252,23 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 /// with their metric, failed sessions with status only; `NoTarget` is
 /// a scenario gap and stays out, matching the degradation tallies).
 pub(crate) fn run_fleet_shard(
-    seed: u64,
-    config: &FleetConfig,
+    run: &RunSpec,
     spec: ShardSpec,
-    telemetry: TelemetryMode,
     ckpt: Option<&CheckpointPolicy>,
     record_sessions: bool,
 ) -> ShardOutcome {
     let started = Instant::now();
+    let RunSpec {
+        seed,
+        config,
+        telemetry,
+        transport,
+        faults,
+    } = *run;
     let mut world = World::build(seed);
     world.net.set_telemetry_mode(telemetry);
+    world.net.set_faults(faults);
+    world.net.set_transport(transport);
     let market = Market::generate(seed);
     let countries = world.measured_countries();
 
@@ -321,7 +345,7 @@ pub(crate) fn run_fleet_shard(
     // Transfers batch per user: their durations are discarded (see the
     // comment at the push site), so the specs accumulate and run through
     // the transport in one `transfer_ms_batch` call per user.
-    let transport = TransportKind::current().transport();
+    let transport = transport.transport();
     let mut pending_transfers: Vec<TransferSpec> = Vec::new();
     let mut transfer_out: Vec<f64> = Vec::new();
     // Checkpoint cadence: sim-days accumulated since the last write.
@@ -456,8 +480,8 @@ pub(crate) fn run_fleet_shard(
                         // The transfer runs through the selected transport
                         // to exercise it, but its *duration* is discarded:
                         // the backends agree only to sub-microsecond
-                        // rounding, and the report must not depend on
-                        // `ROAM_TRANSPORT`. The drawn size is the recorded
+                        // rounding, and the report must not depend on the
+                        // backend. The drawn size is the recorded
                         // observable — so the spec only queues here and
                         // the batch runs once per user.
                         world

@@ -36,13 +36,11 @@
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
 use crate::config::{env_parse, FleetConfig, SessionMix};
-use crate::exec::run_fleet_shard;
+use crate::exec::{run_fleet_shard, RunSpec};
 use crate::merge::merge_outcomes;
 use crate::plan;
 use crate::report::FleetReport;
-use crate::supervisor::{
-    self, FaultsPin, SupervisionStats, SupervisorPolicy, TransportPin, WorkerFaultSpec,
-};
+use crate::supervisor::{self, SupervisionStats, SupervisorPolicy, WorkerFaultSpec};
 use crate::worker::WorkerJob;
 use roam_codec::CodecError;
 use roam_measure::{run_shards, Dataset, DegradationSummary, Exporter, RunMode, SharedSink};
@@ -251,7 +249,7 @@ impl std::fmt::Debug for FleetRunner {
 
 impl FleetRunner {
     /// A sequential, default-sized, telemetry-off runner for `seed`, with
-    /// the transport left to `ROAM_TRANSPORT`.
+    /// the transport and fault schedule left to the process default.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         FleetRunner {
@@ -278,8 +276,8 @@ impl FleetRunner {
     /// `ROAM_FLEET_*`, threads from `ROAM_PARALLEL`, worker processes
     /// from `ROAM_FLEET_WORKERS`, checkpointing from
     /// `ROAM_CHECKPOINT_DIR` / `ROAM_CHECKPOINT_EVERY`, telemetry from
-    /// `ROAM_TELEMETRY`; the transport resolves per probe from
-    /// `ROAM_TRANSPORT`.
+    /// `ROAM_TELEMETRY`; the transport and fault schedule are read from
+    /// `ROAM_TRANSPORT` / `ROAM_FAULTS` once when the run starts.
     #[must_use]
     pub fn from_env(seed: u64) -> Self {
         FleetRunner {
@@ -504,16 +502,18 @@ impl FleetRunner {
         self
     }
 
-    /// Pin the transport backend for the run (restored afterwards).
+    /// Select the transport backend every shard's network uses (default:
+    /// the process default, [`TransportKind::current`], read once when
+    /// the run starts).
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = Some(kind);
         self
     }
 
-    /// Pin the fault schedule for the run, overriding `ROAM_FAULTS`
-    /// (restored afterwards). Every shard's world resolves the same spec,
-    /// so fault windows are identical across shard counts.
+    /// Select the fault schedule every shard's network carries (default:
+    /// the process default, [`FaultSpec::current`], read once when the
+    /// run starts), so fault windows are identical across shard counts.
     #[must_use]
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
@@ -602,10 +602,16 @@ impl FleetRunner {
         let users = self.config.users.max(1);
         let shards = plan::effective_shards(users, self.config.shards);
         // Resolve every output-relevant knob once, up front: the resolved
-        // values go into worker jobs and the checkpoint manifest, so a
-        // resumed or worker-run fleet can never see different ones.
-        let resolved_transport = self.transport.unwrap_or_else(TransportKind::current);
-        let resolved_faults = self.faults.unwrap_or_else(FaultSpec::current);
+        // values go to every shard (in-process, worker or quarantined) and
+        // into the checkpoint manifest, so a resumed or worker-run fleet
+        // can never see different ones.
+        let run = RunSpec {
+            seed: self.seed,
+            config: self.config,
+            telemetry: self.telemetry,
+            transport: self.transport.unwrap_or_else(TransportKind::current),
+            faults: self.faults.unwrap_or_else(FaultSpec::current),
+        };
         let policy = self.checkpoint_dir.as_ref().map(|dir| CheckpointPolicy {
             dir: dir.clone(),
             every_days: self.checkpoint_every.max(1),
@@ -618,13 +624,13 @@ impl FleetRunner {
                     self.seed,
                     &self.config,
                     self.telemetry,
-                    &resolved_faults,
+                    &run.faults,
                 ),
                 shards,
                 every: policy.every_days,
                 config: self.config,
                 telemetry: self.telemetry,
-                faults: resolved_faults,
+                faults: run.faults,
             };
             checkpoint::write_manifest(&policy.dir, &manifest).map_err(|source| {
                 FleetError::Checkpoint {
@@ -636,11 +642,7 @@ impl FleetRunner {
         let plans = plan::plan_shards(users, shards, self.resume.clone());
         if self.workers > 0 {
             let job = WorkerJob {
-                seed: self.seed,
-                config: self.config,
-                telemetry: self.telemetry,
-                transport: resolved_transport,
-                faults: resolved_faults,
+                run,
                 worker_faults: self.worker_faults.unwrap_or_else(WorkerFaultSpec::from_env),
                 deadline_ms: self
                     .worker_deadline_ms
@@ -673,27 +675,9 @@ impl FleetRunner {
             run.supervision = supervised.stats;
             return Ok(run);
         }
-        let outcomes = {
-            // Pin the transport for the whole run even when it comes from
-            // the environment: `TransportKind::current()` runs once per
-            // probe, and with no override installed each call is an
-            // `env::var` lookup — pure overhead at population scale.
-            // Snapshotting the resolved kind into the override turns it
-            // into one atomic load, without changing which backend runs
-            // (the knob is output-invariant).
-            let _pin = TransportPin::install(resolved_transport);
-            let _fault_pin = self.faults.map(FaultsPin::install);
-            run_shards(self.mode, shards, |i| {
-                run_fleet_shard(
-                    self.seed,
-                    &self.config,
-                    plans[i].clone(),
-                    self.telemetry,
-                    policy.as_ref(),
-                    self.sink.is_some(),
-                )
-            })
-        };
+        let outcomes = run_shards(self.mode, shards, |i| {
+            run_fleet_shard(&run, plans[i].clone(), policy.as_ref(), self.sink.is_some())
+        });
         if let Some(sink) = &self.sink {
             // Stream in shard-index order (sessions within a shard are
             // already in session order), locking once for the whole walk

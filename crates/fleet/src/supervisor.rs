@@ -56,7 +56,6 @@ use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
-use roam_netsim::{FaultSpec, TransportKind};
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetrySnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
@@ -92,8 +91,8 @@ const BACKOFF_CAP_MS: u64 = 400;
 /// What fraction of shard attempts a worker sabotages, per failure
 /// class. Mirrors [`FaultSpec`](roam_netsim::FaultSpec): presets
 /// ([`WorkerFaultSpec::off`]/[`light`](WorkerFaultSpec::light)/
-/// [`heavy`](WorkerFaultSpec::heavy)), a `key=value` custom parser, an
-/// environment knob (`ROAM_WORKER_FAULTS`) and a process-wide override.
+/// [`heavy`](WorkerFaultSpec::heavy)), a `key=value` custom parser and
+/// an environment knob (`ROAM_WORKER_FAULTS`).
 ///
 /// Each probability is evaluated per `(shard, attempt)` with one keyed
 /// uniform draw, cumulatively: `crash`, then `stall`, then `torn`, then
@@ -486,46 +485,6 @@ impl SupervisionStats {
 }
 
 // ---------------------------------------------------------------------
-// Restore guards for the process-wide knob overrides (shared with the
-// runner's in-process backend).
-// ---------------------------------------------------------------------
-
-/// Restores the previous process-wide transport override on drop (even
-/// on unwind).
-pub(crate) struct TransportPin(Option<Option<TransportKind>>);
-
-impl TransportPin {
-    pub(crate) fn install(kind: TransportKind) -> Self {
-        TransportPin(Some(TransportKind::override_transport(Some(kind))))
-    }
-}
-
-impl Drop for TransportPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            TransportKind::override_transport(prev);
-        }
-    }
-}
-
-/// Restores the previous process-wide fault-spec override on drop.
-pub(crate) struct FaultsPin(Option<Option<FaultSpec>>);
-
-impl FaultsPin {
-    pub(crate) fn install(spec: FaultSpec) -> Self {
-        FaultsPin(Some(FaultSpec::override_faults(Some(spec))))
-    }
-}
-
-impl Drop for FaultsPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            FaultSpec::override_faults(prev);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The supervisor.
 // ---------------------------------------------------------------------
 
@@ -587,7 +546,7 @@ pub(crate) fn supervise(
     let mut outcomes: BTreeMap<usize, ShardOutcome> = BTreeMap::new();
     let mut quarantine: Vec<usize> = Vec::new();
     let mut stats = SupervisionStats::default();
-    let mut tel = Recorder::new(job_proto.telemetry);
+    let mut tel = Recorder::new(job_proto.run.telemetry);
 
     let (tx, rx) = mpsc::channel::<Tagged>();
     let mut slots: Vec<Slot> = stripes
@@ -746,8 +705,6 @@ pub(crate) fn supervise(
     // shard function is the exact one the workers run, so the bytes
     // cannot differ.
     if !quarantine.is_empty() {
-        let _transport = TransportPin::install(job_proto.transport);
-        let _faults = FaultsPin::install(job_proto.faults);
         quarantine.sort_unstable();
         quarantine.dedup();
         for index in quarantine {
@@ -759,10 +716,8 @@ pub(crate) fn supervise(
             }
             stats.quarantined += 1;
             let outcome = run_fleet_shard(
-                job_proto.seed,
-                &job_proto.config,
+                &job_proto.run,
                 spec.clone(),
-                job_proto.telemetry,
                 job_proto.checkpoint.as_ref(),
                 false,
             );
@@ -821,11 +776,7 @@ fn spawn_slot(
             })
             .collect();
         let job = WorkerJob {
-            seed: job_proto.seed,
-            config: job_proto.config,
-            telemetry: job_proto.telemetry,
-            transport: job_proto.transport,
-            faults: job_proto.faults,
+            run: job_proto.run,
             worker_faults: job_proto.worker_faults,
             deadline_ms: job_proto.deadline_ms,
             shards,

@@ -42,12 +42,11 @@ use crate::checkpoint::{
     telemetry_to_wire, CheckpointPolicy, ShardState, CKPT_VERSION, KIND_HEARTBEAT, KIND_JOB,
     KIND_RESULT,
 };
-use crate::config::FleetConfig;
-use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
+use crate::exec::{run_fleet_shard, RunSpec, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
-use roam_netsim::{FaultSpec, TransportKind};
+use roam_netsim::TransportKind;
 use roam_telemetry::{TelemetryMode, TelemetrySnapshot};
 use std::path::PathBuf;
 
@@ -103,11 +102,8 @@ mod result_tag {
 /// Everything one worker process needs to run its shards.
 #[derive(Debug)]
 pub(crate) struct WorkerJob {
-    pub seed: u64,
-    pub config: FleetConfig,
-    pub telemetry: TelemetryMode,
-    pub transport: TransportKind,
-    pub faults: FaultSpec,
+    /// The run's resolved values, applied to every shard's network.
+    pub run: RunSpec,
     /// The resolved worker-fault injection spec — shipped in the job
     /// (like every other knob) so parent and workers cannot diverge on
     /// which executions get sabotaged.
@@ -122,17 +118,18 @@ pub(crate) struct WorkerJob {
 impl WorkerJob {
     pub(crate) fn to_frame(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.u64(job_tag::SEED, self.seed);
-        e.section(job_tag::CONFIG, |se| encode_config(se, &self.config));
-        e.u64(job_tag::TELEMETRY, telemetry_to_wire(self.telemetry));
+        let run = &self.run;
+        e.u64(job_tag::SEED, run.seed);
+        e.section(job_tag::CONFIG, |se| encode_config(se, &run.config));
+        e.u64(job_tag::TELEMETRY, telemetry_to_wire(run.telemetry));
         e.u64(
             job_tag::TRANSPORT,
-            match self.transport {
+            match run.transport {
                 TransportKind::ClosedForm => 0,
                 TransportKind::Engine => 1,
             },
         );
-        e.section(job_tag::FAULTS, |se| encode_faults(se, &self.faults));
+        e.section(job_tag::FAULTS, |se| encode_faults(se, &run.faults));
         if self.worker_faults.enabled() {
             e.section(job_tag::WORKER_FAULTS, |se| {
                 se.f64(wfault_tag::CRASH, self.worker_faults.crash);
@@ -256,11 +253,13 @@ impl WorkerJob {
             _ => return Err(CodecError::MissingField("checkpoint policy")),
         };
         Ok(WorkerJob {
-            seed: seed.ok_or(CodecError::MissingField("seed"))?,
-            config: config.ok_or(CodecError::MissingField("config"))?,
-            telemetry,
-            transport,
-            faults: faults.ok_or(CodecError::MissingField("faults"))?,
+            run: RunSpec {
+                seed: seed.ok_or(CodecError::MissingField("seed"))?,
+                config: config.ok_or(CodecError::MissingField("config"))?,
+                telemetry,
+                transport,
+                faults: faults.ok_or(CodecError::MissingField("faults"))?,
+            },
             worker_faults,
             deadline_ms,
             shards,
@@ -459,9 +458,10 @@ pub(crate) fn read_worker_stream(mut input: impl std::io::Read, mut emit: impl F
 }
 
 /// Worker side: the whole child process. Reads one job frame from
-/// `input`, pins the job's resolved knobs process-wide (this process
-/// never reads `ROAM_*`), then runs its shards sequentially — one
-/// heartbeat frame before each shard, one result frame after.
+/// `input`, hands the job's resolved knobs to every shard by value (the
+/// process's own `ROAM_*` environment never reaches a shard), then runs
+/// its shards sequentially — one heartbeat frame before each shard, one
+/// result frame after.
 ///
 /// When the job carries an active [`WorkerFaultSpec`], the keyed draw
 /// for each `(shard, attempt)` may sabotage the execution instead:
@@ -492,17 +492,13 @@ pub fn serve(
         ));
     }
     let job = WorkerJob::decode(frame.payload).map_err(|e| format!("decoding job: {e}"))?;
-    // Pin the resolved knobs for the life of the process. No restore
-    // guards: the process exits when the job is done.
-    TransportKind::override_transport(Some(job.transport));
-    FaultSpec::override_faults(Some(job.faults));
     for spec in job.shards {
         let (index, attempt) = (spec.index, spec.attempt);
         output
             .write_all(&heartbeat_frame(index, attempt))
             .and_then(|()| output.flush())
             .map_err(|e| format!("writing heartbeat: {e}"))?;
-        let fault = job.worker_faults.decide(job.seed, index, attempt);
+        let fault = job.worker_faults.decide(job.run.seed, index, attempt);
         match fault {
             Some(InjectedFault::Crash) => {
                 // Die by signal with the shard announced but unfinished
@@ -523,14 +519,7 @@ pub fn serve(
             }
             _ => {}
         }
-        let outcome = run_fleet_shard(
-            job.seed,
-            &job.config,
-            spec,
-            job.telemetry,
-            job.checkpoint.as_ref(),
-            false,
-        );
+        let outcome = run_fleet_shard(&job.run, spec, job.checkpoint.as_ref(), false);
         let mut frame = result_frame(&outcome);
         match fault {
             Some(InjectedFault::TornTruncate) => {
@@ -568,15 +557,19 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FleetConfig;
+    use roam_netsim::FaultSpec;
 
     #[test]
     fn job_round_trips_through_its_frame() {
         let job = WorkerJob {
-            seed: 42,
-            config: FleetConfig::default(),
-            telemetry: TelemetryMode::Summary,
-            transport: TransportKind::Engine,
-            faults: FaultSpec::heavy(),
+            run: RunSpec {
+                seed: 42,
+                config: FleetConfig::default(),
+                telemetry: TelemetryMode::Summary,
+                transport: TransportKind::Engine,
+                faults: FaultSpec::heavy(),
+            },
             worker_faults: WorkerFaultSpec::light(),
             deadline_ms: 12_345,
             shards: vec![
@@ -610,8 +603,8 @@ mod tests {
         let (parsed, _) = Frame::parse(&frame).expect("job frame parses");
         assert_eq!(parsed.kind, KIND_JOB);
         let back = WorkerJob::decode(parsed.payload).expect("job decodes");
-        assert_eq!(back.seed, 42);
-        assert_eq!(back.transport, TransportKind::Engine);
+        assert_eq!(back.run.seed, 42);
+        assert_eq!(back.run.transport, TransportKind::Engine);
         assert_eq!(back.worker_faults, WorkerFaultSpec::light());
         assert_eq!(back.deadline_ms, 12_345);
         assert_eq!(back.shards.len(), 2);

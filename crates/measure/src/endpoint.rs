@@ -7,7 +7,7 @@ use rand::Rng;
 use roam_cellular::{phy_rate_mbps, ChannelSampler, Cqi, Rat, SimType};
 use roam_geo::Country;
 use roam_ipx::Attachment;
-use roam_netsim::engine::{flow_seed, flow_seed_args, Flow, FlowId, Transport, TransportKind};
+use roam_netsim::engine::{flow_seed, flow_seed_args, Flow, FlowId};
 use roam_netsim::{
     Network, NodeId, PingResult, ProbeError, RttSample, Traceroute, TracerouteOpts, TransferSpec,
 };
@@ -99,7 +99,6 @@ impl Endpoint {
         Probe {
             ue: self.att.ue,
             flow: Flow::open(seed),
-            transport: TransportKind::current().transport(),
             ev_label,
             net,
         }
@@ -137,8 +136,8 @@ const BACKOFF_ROUNDS: u32 = 2;
 /// A probe (including its backoff waits) never runs longer than this.
 const PROBE_DEADLINE_MS: f64 = 2_000.0;
 
-/// One measurement flow in flight: the endpoint's UE, a private RNG
-/// stream, and the transport that times bulk transfers. All network I/O a
+/// One measurement flow in flight: the endpoint's UE and a private RNG
+/// stream; bulk transfers run on the network's transport. All network I/O a
 /// client performs — pings, traceroutes, transfers, server think-time
 /// draws — goes through here; clients never touch the network's shared
 /// RNG or the throughput formulas directly.
@@ -146,7 +145,6 @@ pub struct Probe<'n> {
     net: &'n mut Network,
     ue: NodeId,
     flow: Flow,
-    transport: &'static dyn Transport,
     ev_label: Option<String>,
 }
 
@@ -268,7 +266,7 @@ impl Probe<'_> {
         self.net
             .telemetry_mut()
             .add(Counter::TransferBytes, spec.bytes as u64);
-        self.transport.transfer_ms(spec)
+        self.net.transport().transport().transfer_ms(spec)
     }
 
     /// Goodput of a bulk transfer under the selected transport, Mbps.
@@ -279,7 +277,7 @@ impl Probe<'_> {
         self.net
             .telemetry_mut()
             .add(Counter::TransferBytes, spec.bytes as u64);
-        self.transport.goodput_mbps(spec)
+        self.net.transport().transport().goodput_mbps(spec)
     }
 
     /// The flow's private RNG, for application-level draws (server think

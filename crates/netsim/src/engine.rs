@@ -23,10 +23,11 @@
 //!   buys is a real clock that future work can interleave with competing
 //!   flows for congestion coupling.
 //!
-//! Select with `ROAM_TRANSPORT=engine` (anything else, or unset, means
-//! closed form) via [`TransportKind::from_env`], or programmatically with
-//! [`TransportKind::override_transport`]; measurement code should resolve
-//! the effective choice through [`TransportKind::current`].
+//! A run picks its [`TransportKind`] once and sets it on each shard's
+//! [`Network`](crate::Network) with
+//! [`Network::set_transport`](crate::Network::set_transport); probes read
+//! it there. `ROAM_TRANSPORT=engine` (anything else, or unset, means
+//! closed form) selects the process default a network starts with.
 
 use crate::event::EventQueue;
 use crate::throughput::{mathis_cap_mbps, TransferSpec, INIT_CWND_SEGMENTS, MSS};
@@ -294,8 +295,7 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// Read the kind from `ROAM_TRANSPORT`: `engine` selects the stepped
-    /// transport; unset, empty, or anything else means closed form. Read
-    /// on every call (never cached) so tests can flip it mid-process.
+    /// transport; unset, empty, or anything else means closed form.
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("ROAM_TRANSPORT") {
@@ -305,9 +305,9 @@ impl TransportKind {
     }
 
     /// Install (or clear, with `None`) a process-wide override that takes
-    /// precedence over `ROAM_TRANSPORT`. Returns the previous override so
-    /// callers can restore it — the campaign runner's `.transport(..)`
-    /// builder uses this with a restore guard.
+    /// precedence over `ROAM_TRANSPORT` as the process default. Returns
+    /// the previous override. Runners never call this: they set the
+    /// transport on each network they build.
     pub fn override_transport(kind: Option<TransportKind>) -> Option<TransportKind> {
         let encode = |k: Option<TransportKind>| match k {
             None => 0u8,
@@ -322,8 +322,10 @@ impl TransportKind {
         }
     }
 
-    /// The effective kind for this call: the process-wide override if one
-    /// is installed, otherwise whatever `ROAM_TRANSPORT` says.
+    /// The process default: the process-wide override if one is
+    /// installed, otherwise whatever `ROAM_TRANSPORT` says. Read when a
+    /// [`Network`](crate::Network) is built and when a runner's transport
+    /// is left unset.
     #[must_use]
     pub fn current() -> Self {
         match TRANSPORT_OVERRIDE.load(Ordering::SeqCst) {
@@ -441,37 +443,5 @@ mod tests {
             let ge = EngineSteppedTransport.goodput_mbps(s);
             assert!((gc - ge).abs() < 1e-6 * gc.max(1.0), "{gc} vs {ge}");
         }
-    }
-
-    #[test]
-    fn transport_kind_reads_env_per_call() {
-        std::env::remove_var("ROAM_TRANSPORT");
-        assert_eq!(TransportKind::from_env(), TransportKind::ClosedForm);
-        std::env::set_var("ROAM_TRANSPORT", "engine");
-        assert_eq!(TransportKind::from_env(), TransportKind::Engine);
-        std::env::set_var("ROAM_TRANSPORT", "closed");
-        assert_eq!(TransportKind::from_env(), TransportKind::ClosedForm);
-        std::env::remove_var("ROAM_TRANSPORT");
-        assert_eq!(
-            TransportKind::transport(TransportKind::Engine).name(),
-            "engine"
-        );
-        assert_eq!(
-            TransportKind::transport(TransportKind::ClosedForm).name(),
-            "closed-form"
-        );
-    }
-
-    #[test]
-    fn override_beats_env_while_installed() {
-        // Only assert while the override is pinned: other tests in this
-        // binary mutate ROAM_TRANSPORT concurrently, so the env-following
-        // path is exercised in transport_kind_reads_env_per_call, not here.
-        let prev = TransportKind::override_transport(Some(TransportKind::Engine));
-        assert_eq!(TransportKind::current(), TransportKind::Engine);
-        let inner = TransportKind::override_transport(Some(TransportKind::ClosedForm));
-        assert_eq!(inner, Some(TransportKind::Engine));
-        assert_eq!(TransportKind::current(), TransportKind::ClosedForm);
-        TransportKind::override_transport(prev);
     }
 }

@@ -43,10 +43,12 @@
 //! entities no probe ever crosses. Since each calendar is a pure function
 //! of identity, the fill order cannot change an answer.
 //!
-//! Selection is via `ROAM_FAULTS=off|light|heavy|<spec>` (see
-//! [`FaultSpec::from_env`]) or the process-wide
-//! [`FaultSpec::override_faults`], mirroring how
-//! [`TransportKind`](crate::engine::TransportKind) is chosen.
+//! A run picks its [`FaultSpec`] once and sets it on each shard's
+//! [`Network`](crate::Network) with
+//! [`Network::set_faults`](crate::Network::set_faults), exactly like its
+//! [`TransportKind`](crate::engine::TransportKind).
+//! `ROAM_FAULTS=off|light|heavy|<spec>` (see [`FaultSpec::from_env`])
+//! selects the process default a network starts with.
 
 use crate::engine::flow_seed;
 use crate::time::SimTime;
@@ -310,8 +312,7 @@ impl FaultSpec {
 
     /// Read the spec from `ROAM_FAULTS`: `off`/unset/empty disable the
     /// plane, `light` and `heavy` select the presets, anything else is
-    /// parsed as a custom spec (see [`FaultSpec::parse`]). Read on every
-    /// call (never cached) so tests can flip it mid-process.
+    /// parsed as a custom spec (see [`FaultSpec::parse`]).
     ///
     /// # Panics
     /// On an unparseable custom spec — a misspelt knob should fail loudly
@@ -331,16 +332,18 @@ impl FaultSpec {
     }
 
     /// Install (or clear, with `None`) a process-wide override that takes
-    /// precedence over `ROAM_FAULTS`. Returns the previous override so
-    /// callers can restore it — the campaign and fleet runners' builder
-    /// knobs use this with a restore guard.
+    /// precedence over `ROAM_FAULTS` as the process default. Returns the
+    /// previous override. Runners never call this: they set the spec on
+    /// each network they build.
     pub fn override_faults(spec: Option<FaultSpec>) -> Option<FaultSpec> {
         let mut slot = FAULTS_OVERRIDE.lock().expect("faults override poisoned");
         std::mem::replace(&mut slot, spec)
     }
 
-    /// The effective spec for this call: the process-wide override if one
-    /// is installed, otherwise whatever `ROAM_FAULTS` says.
+    /// The process default: the process-wide override if one is
+    /// installed, otherwise whatever `ROAM_FAULTS` says. Read when a
+    /// [`Network`](crate::Network) is built and when a runner's fault
+    /// spec is left unset.
     #[must_use]
     pub fn current() -> Self {
         let slot = FAULTS_OVERRIDE.lock().expect("faults override poisoned");
@@ -630,31 +633,6 @@ mod tests {
         assert!(FaultSpec::parse("flap=x").is_none(), "non-numeric");
         assert!(FaultSpec::parse("flap").is_none(), "missing value");
         assert!(FaultSpec::parse("period_ms=0").is_none(), "zero period");
-    }
-
-    #[test]
-    fn env_selects_presets_and_custom_specs() {
-        // Single test exercising the env path end-to-end: parallel tests
-        // in this binary never touch ROAM_FAULTS, so this is race-free.
-        std::env::remove_var("ROAM_FAULTS");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::off());
-        std::env::set_var("ROAM_FAULTS", "light");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::light());
-        std::env::set_var("ROAM_FAULTS", "heavy");
-        assert_eq!(FaultSpec::from_env(), FaultSpec::heavy());
-        std::env::set_var("ROAM_FAULTS", "flap=0.4,burst=0.8");
-        assert_eq!(FaultSpec::from_env().link_flap_rate, 0.4);
-        std::env::remove_var("ROAM_FAULTS");
-    }
-
-    #[test]
-    fn override_beats_env_while_installed() {
-        let prev = FaultSpec::override_faults(Some(FaultSpec::heavy()));
-        assert_eq!(FaultSpec::current(), FaultSpec::heavy());
-        let inner = FaultSpec::override_faults(Some(FaultSpec::off()));
-        assert_eq!(inner, Some(FaultSpec::heavy()));
-        assert!(!FaultSpec::current().enabled());
-        FaultSpec::override_faults(prev);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! probe's RTT is the event-queue timestamp difference — jitter, loss and
 //! unresponsive hops included.
 
-use crate::engine::Flow;
+use crate::engine::{Flow, TransportKind};
 use crate::event::EventQueue;
 use crate::faults::{FaultPlane, FaultSpec, NodeFaultState};
 use crate::ip::is_private;
@@ -410,8 +410,10 @@ pub struct Network {
     /// The fault-injection plane: keyed-seed calendars of link flaps,
     /// gateway outages, DNS blackholes and CG-NAT rebinds, plus the
     /// failover detours the session layer registers. Disabled (one bool
-    /// check per walk) unless `ROAM_FAULTS` / an override says otherwise.
+    /// check per walk) unless the run's fault spec enables it.
     faults: FaultPlane,
+    /// The backend that times bulk transfers on this network's flows.
+    transport: TransportKind,
 }
 
 /// One packet-level event, recorded when tracing is enabled — the
@@ -511,14 +513,28 @@ impl Network {
             pkt_buf: BytesMut::with_capacity(128),
             icmp_buf: BytesMut::with_capacity(64),
             faults: FaultPlane::new(FaultSpec::current()),
+            transport: TransportKind::current(),
         }
     }
 
     /// Swap the fault schedule in place (calendars rebuild lazily). The
-    /// default is whatever [`FaultSpec::current`] said when the network
-    /// was built.
+    /// default is the process default ([`FaultSpec::current`]) when the
+    /// network was built; runners set their own spec right after building.
     pub fn set_faults(&mut self, spec: FaultSpec) {
         self.faults.set_spec(spec);
+    }
+
+    /// Select the transport backend this network's flows time bulk
+    /// transfers with. The default is the process default
+    /// ([`TransportKind::current`]) when the network was built.
+    pub fn set_transport(&mut self, kind: TransportKind) {
+        self.transport = kind;
+    }
+
+    /// The transport backend this network's flows use.
+    #[must_use]
+    pub fn transport(&self) -> TransportKind {
+        self.transport
     }
 
     /// Read access to the fault plane (spec, drop/failover tallies).

@@ -127,23 +127,6 @@ struct VantageSlot {
     dns_plans: [ResolverPlan; 2],
 }
 
-/// Restore guard for the process-wide fault override.
-struct FaultsPin(Option<Option<FaultSpec>>);
-
-impl FaultsPin {
-    fn install(spec: FaultSpec) -> Self {
-        FaultsPin(Some(FaultSpec::override_faults(Some(spec))))
-    }
-}
-
-impl Drop for FaultsPin {
-    fn drop(&mut self) {
-        if let Some(prev) = self.0.take() {
-            FaultSpec::override_faults(prev);
-        }
-    }
-}
-
 /// The long-running measurement agent. Construct with [`Agent::new`]
 /// (fresh) or [`Agent::resume`] (from a checkpoint), configure with the
 /// builder methods, then [`Agent::run`].
@@ -261,12 +244,9 @@ impl Agent {
         telemetry: TelemetryMode,
         faults: FaultSpec,
     ) -> Self {
-        // Build the world under the resolved fault spec so the fault
-        // plane the probe network carries matches the pin `run`
-        // installs.
-        let pin = FaultsPin::install(faults);
         let mut world = World::build(seed);
         world.net.set_telemetry_mode(telemetry);
+        world.net.set_faults(faults);
         let countries = world.measured_countries();
         let mut pool_eps: Vec<[Endpoint; 2]> = Vec::with_capacity(countries.len());
         for &country in &countries {
@@ -291,7 +271,6 @@ impl Agent {
                 }
             })
             .collect();
-        drop(pin);
         let mut kinds: Vec<JobKind> = (0..config.cohorts).map(JobKind::Cohort).collect();
         kinds.extend((0..countries.len()).map(JobKind::Probe));
         kinds.push(JobKind::Faults);
@@ -374,7 +353,6 @@ impl Agent {
         if horizon == Horizon::UntilIdle && self.config.ttl_ticks == 0 {
             return Err(ServiceConfigError::UntilIdleNeedsTtl.into());
         }
-        let _pin = FaultsPin::install(self.faults);
         let horizon_end = match horizon {
             Horizon::SimDays(n) => Some(days(n)),
             Horizon::UntilIdle => None,
@@ -440,6 +418,7 @@ impl Agent {
             shards: self.batch_shards,
             mode: self.mode,
             telemetry: TelemetryMode::Off,
+            faults: Some(self.faults),
             record_sessions: self.sink.is_some(),
         };
         let run = batch.run();

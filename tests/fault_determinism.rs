@@ -1,12 +1,9 @@
-//! The degraded-run determinism contract: with a pinned fault schedule,
+//! The degraded-run determinism contract: with a fixed fault schedule,
 //! campaign exports and fleet reports are byte-identical across
 //! `ROAM_PARALLEL` × `ROAM_TRANSPORT` × `ROAM_FLEET_SHARDS`, runs
 //! complete with explicit `failed` rows instead of aborting, and the
-//! degradation summary is populated.
-//!
-//! One `#[test]` on purpose: the fault-spec pin is process-global (like
-//! the transport pin), so the matrix must not race a sibling test that
-//! resolves `FaultSpec::current()`.
+//! degradation summary is populated. Each run carries its schedule by
+//! value, so the matrix never leaks into concurrently running tests.
 
 use roam_bench::CampaignRunner;
 use roamsim::fleet::FleetRunner;

@@ -8,7 +8,7 @@ use roamsim::geo::Country;
 use roamsim::measure::{
     run_measurement, CampaignData, DeviceCampaignSpec, Endpoint, Exporter, PlannedMeasurement,
 };
-use roamsim::netsim::Network;
+use roamsim::netsim::{Network, TransportKind};
 use roamsim::world::World;
 
 /// Run one plan entry in isolation and serialize whatever it produced.
@@ -40,8 +40,9 @@ fn run_plan(
         .collect()
 }
 
-fn check_permutation_invariance() {
+fn check_permutation_invariance(transport: TransportKind) {
     let mut world = World::build(29);
+    world.net.set_transport(transport);
     let ep = world.attach_esim(Country::PAK);
     let spec = DeviceCampaignSpec {
         ookla: (2, 2),
@@ -79,13 +80,6 @@ fn check_permutation_invariance() {
 
 #[test]
 fn permuted_plan_yields_identical_records_per_flow_key() {
-    // Closed-form transport (the default).
-    std::env::remove_var("ROAM_TRANSPORT");
-    check_permutation_invariance();
-
-    // Discrete-event engine transport. `TransportKind::from_env` reads the
-    // variable per probe, so flipping it mid-test takes effect immediately.
-    std::env::set_var("ROAM_TRANSPORT", "engine");
-    check_permutation_invariance();
-    std::env::remove_var("ROAM_TRANSPORT");
+    check_permutation_invariance(TransportKind::ClosedForm);
+    check_permutation_invariance(TransportKind::Engine);
 }

@@ -7,24 +7,16 @@
 //! transfer durations, where the backends differ in the low bits, never
 //! do.
 //!
-//! The fault schedule is still a process-global pin, so every test here
-//! takes [`serial`] first: the heavy-fault fleet case must not leak its
-//! schedule into a sibling's fault-free campaign.
+//! The tests run concurrently: each run carries its own fault schedule
+//! and transport, so the heavy-fault fleet case cannot leak its schedule
+//! into a sibling's fault-free campaign.
 
 use roam_bench::CampaignRunner;
 use roamsim::fleet::FleetRunner;
 use roamsim::netsim::{FaultSpec, TransportKind};
 use roamsim::telemetry::TelemetryMode;
-use std::sync::{Mutex, MutexGuard};
 
 const SEED: u64 = 17;
-
-/// Serialises the tests of this file (see the module doc).
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 const MATRIX: [(usize, TransportKind); 4] = [
     (1, TransportKind::ClosedForm),
@@ -35,7 +27,6 @@ const MATRIX: [(usize, TransportKind); 4] = [
 
 #[test]
 fn telemetry_bytes_survive_workers_and_transports() {
-    let _serial = serial();
     let mut device = Vec::new();
     let mut survey = Vec::new();
     for (workers, transport) in MATRIX {
@@ -82,7 +73,6 @@ fn telemetry_bytes_survive_workers_and_transports() {
 
 #[test]
 fn summary_mode_is_equally_stable_and_keeps_no_events() {
-    let _serial = serial();
     let a = CampaignRunner::new(SEED)
         .scale(0.02)
         .telemetry(TelemetryMode::Summary)
@@ -111,7 +101,6 @@ const DEGRADED_FLEET_DIGEST: u64 = 0x8827_cf9f_63a0_ae4f;
 
 #[test]
 fn degraded_fleet_telemetry_bytes_are_pinned() {
-    let _serial = serial();
     let run = FleetRunner::new(SEED)
         .users(2_000)
         .shards(4)
