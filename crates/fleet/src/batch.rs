@@ -8,7 +8,10 @@
 //! drives an arbitrary `[lo, hi)` uid range through the exact same
 //! plan/exec/merge pipeline `FleetRunner` uses, splitting the range
 //! into sub-shards for thread-level parallelism and folding the
-//! outcomes in sub-shard order.
+//! outcomes in sub-shard order. The sub-shards share one
+//! [`ShardBase`] (world, market, endpoint pool), built once per batch —
+//! or once per run of batches, when the caller keeps it across ticks
+//! with [`UserBatch::run_reusing`].
 //!
 //! Determinism is inherited wholesale from the shard contract: every
 //! per-user observable derives from `flow_seed(seed, "fleet/…/<uid>")`,
@@ -19,7 +22,7 @@
 //! disjoint stream families by construction.
 
 use crate::config::FleetConfig;
-use crate::exec::{run_fleet_shard, RunSpec, ShardSpec};
+use crate::exec::{run_fleet_shard, RunSpec, ShardBase, ShardSpec};
 use crate::report::FleetReport;
 use crate::sink::SessionRecord;
 use roam_measure::{run_shards, RunMode};
@@ -101,6 +104,17 @@ impl UserBatch {
     /// stream — the expired-cohort case in the service.
     #[must_use]
     pub fn run(&self) -> BatchRun {
+        self.run_reusing(&mut None)
+    }
+
+    /// [`UserBatch::run`], with the sub-shards' setup cached in `base`
+    /// across calls: a cached base whose run (seed, config, telemetry,
+    /// transport, faults) equals this batch's is reused as is, anything
+    /// else is replaced by a fresh build. An empty range builds nothing
+    /// and leaves `base` untouched. The result equals [`UserBatch::run`]'s
+    /// byte for byte.
+    #[must_use]
+    pub fn run_reusing(&self, base: &mut Option<ShardBase>) -> BatchRun {
         let span = self.hi.saturating_sub(self.lo);
         if span == 0 {
             return BatchRun {
@@ -117,6 +131,10 @@ impl UserBatch {
             transport: TransportKind::current(),
             faults: self.faults.unwrap_or_else(FaultSpec::current),
         };
+        let base = match base {
+            Some(cached) if cached.run == run => cached,
+            slot => slot.insert(ShardBase::build(&run)),
+        };
         let mut outcomes = run_shards(self.mode, n, |i| {
             let (lo, hi) = self.sub_range(i, n);
             let spec = ShardSpec {
@@ -126,7 +144,7 @@ impl UserBatch {
                 resume: None,
                 attempt: 0,
             };
-            run_fleet_shard(&run, spec, None, self.record_sessions)
+            run_fleet_shard(base, spec, None, self.record_sessions)
         });
         outcomes.sort_by_key(|o| o.index);
         let mut report = FleetReport::new(self.config.sample);
@@ -204,5 +222,69 @@ mod tests {
         let run = batch(10, 10, 4, 4).run();
         assert_eq!(run.report.users, 0);
         assert!(run.sessions.is_empty());
+    }
+
+    /// What a caller can observe of a batch.
+    fn observed(run: &BatchRun) -> (String, String, Vec<SessionRecord>) {
+        (
+            run.report.render(),
+            run.telemetry.render(),
+            run.sessions.clone(),
+        )
+    }
+
+    /// The cached base's market allocation: equal across calls exactly
+    /// when the base was reused rather than rebuilt (a rebuild allocates
+    /// its market while the old base is still alive).
+    fn base_identity(slot: &Option<ShardBase>) -> *const roam_econ::EsimOffer {
+        slot.as_ref().expect("base cached").market.offers().as_ptr()
+    }
+
+    #[test]
+    fn run_reusing_rebuilds_a_base_cached_for_another_run() {
+        let target = UserBatch {
+            telemetry: TelemetryMode::Summary,
+            faults: Some(FaultSpec::light()),
+            ..batch(20, 50, 3, 2)
+        };
+        let others = [
+            UserBatch {
+                seed: 98,
+                ..target.clone()
+            },
+            UserBatch {
+                faults: Some(FaultSpec::heavy()),
+                ..target.clone()
+            },
+        ];
+        for other in others {
+            let mut slot = None;
+            let _ = other.run_reusing(&mut slot);
+            let stale = base_identity(&slot);
+            let reused = target.run_reusing(&mut slot);
+            assert_ne!(base_identity(&slot), stale, "stale base was reused");
+            assert_eq!(observed(&reused), observed(&target.run()));
+        }
+    }
+
+    #[test]
+    fn consecutive_ticks_on_one_base_equal_fresh_runs() {
+        let ticks = [batch(0, 30, 4, 2), batch(10, 45, 4, 1), batch(30, 60, 2, 2)];
+        let mut slot = None;
+        let mut identity = None;
+        for tick in &ticks {
+            let reused = tick.run_reusing(&mut slot);
+            assert_eq!(observed(&reused), observed(&tick.run()));
+            let id = base_identity(&slot);
+            assert_eq!(*identity.get_or_insert(id), id, "base was rebuilt");
+        }
+    }
+
+    #[test]
+    fn empty_range_builds_no_base() {
+        let mut slot = None;
+        let run = batch(10, 10, 4, 4).run_reusing(&mut slot);
+        assert_eq!(run.report.users, 0);
+        assert!(slot.is_none());
     }
 }

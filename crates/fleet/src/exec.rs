@@ -2,13 +2,16 @@
 //! stack, optionally starting from a checkpoint and writing new ones.
 //!
 //! This is the hot half of the fleet plane (the planner/merger halves
-//! live in [`crate::plan`] and [`crate::merge`]). One call to
-//! [`run_fleet_shard`] owns one shard: it builds the seeded world and
-//! the fixed endpoint pool exactly like every other shard, then streams
-//! its user range into the report. With a [`CheckpointPolicy`] it also
-//! serializes its partial state every `every_days` accumulated sim-days,
-//! at a user boundary (the only point where no batched work is in
-//! flight), so a killed process can resume mid-shard without replaying.
+//! live in [`crate::plan`] and [`crate::merge`]). Every shard of a run
+//! starts from the same setup — the seeded world, the market, the fixed
+//! endpoint pool and the offer shelves — so that setup is built once per
+//! run as a [`ShardBase`] and shared by reference. One call to
+//! [`run_fleet_shard`] owns one shard: it clones the base's post-setup
+//! network, then streams its user range into the report. With a
+//! [`CheckpointPolicy`] it also serializes its partial state every
+//! `every_days` accumulated sim-days, at a user boundary (the only point
+//! where no batched work is in flight), so a killed process can resume
+//! mid-shard without replaying.
 
 use crate::checkpoint::{self, CheckpointPolicy, ShardState};
 use crate::config::{FleetConfig, SessionMix};
@@ -18,6 +21,7 @@ use crate::sink::{SessionKind, SessionRecord};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roam_econ::{EsimOffer, Market};
+use roam_geo::Country;
 use roam_measure::campaign::RecordTag;
 use roam_measure::{resolve_timing, Endpoint, MeasureError, MeasureStatus, ResolverPlan, Service};
 use roam_netsim::engine::flow_seed;
@@ -29,7 +33,7 @@ use std::time::Instant;
 /// The values every shard of one run shares, resolved once at run entry
 /// and handed to each shard by value: a shard never reads the
 /// environment or a process-wide override.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct RunSpec {
     /// Master seed.
     pub seed: u64,
@@ -72,7 +76,8 @@ pub(crate) struct ShardOutcome {
     pub report: FleetReport,
     /// The shard's telemetry.
     pub snap: TelemetrySnapshot,
-    /// Wall-clock milliseconds this shard took.
+    /// Wall-clock milliseconds this shard took, from the clone of the
+    /// run's [`ShardBase`] on (the shared setup is not included).
     pub wall_ms: f64,
     /// `false` when the shard stopped early because the checkpoint
     /// policy's `halt_after` tripped (harness use only).
@@ -108,14 +113,49 @@ fn count_failed(report: &mut FleetReport, net: &Network, e: &MeasureError) {
     }
 }
 
-/// The fixed per-country stage every shard builds identically: two eSIM
-/// attachments (capturing the §4.1 provider alternation) plus their
-/// precomputed probe targets and resolver plans — everything session-
-/// invariant is resolved here once instead of once per session.
-struct CountrySlot {
-    endpoints: [Endpoint; 2],
-    rtt_targets: [Option<NodeId>; 2],
-    dns_plans: [ResolverPlan; 2],
+/// One measured country's fixed probe stage: two eSIM attachments
+/// (capturing the §4.1 provider alternation) plus their precomputed probe
+/// targets and resolver plans — everything session-invariant is resolved
+/// here once instead of once per session.
+#[derive(Debug)]
+pub struct CountrySlot {
+    /// The two attachments, alternated by uid (fleet) or fire index
+    /// (agent vantage probes).
+    pub endpoints: [Endpoint; 2],
+    /// Nearest Google edge from each attachment's breakout city.
+    pub rtt_targets: [Option<NodeId>; 2],
+    /// Each attachment's resolver plan.
+    pub dns_plans: [ResolverPlan; 2],
+}
+
+/// The fixed endpoint pool: one [`CountrySlot`] per entry of `countries`,
+/// in order. Attaches first (mutable world), then resolves probe targets
+/// (immutable), so the world's network ends in the same state for every
+/// caller that builds a pool from the same seed.
+pub fn endpoint_pool(world: &mut World, countries: &[Country]) -> Vec<CountrySlot> {
+    let attached: Vec<[Endpoint; 2]> = countries
+        .iter()
+        .map(|&c| [world.attach_esim(c), world.attach_esim(c)])
+        .collect();
+    attached
+        .into_iter()
+        .map(|endpoints| {
+            let rtt_targets = [0, 1].map(|i| {
+                world.internet.targets.nearest(
+                    &world.net,
+                    Service::Google,
+                    endpoints[i].att.breakout_city,
+                )
+            });
+            let dns_plans = [0, 1]
+                .map(|i| ResolverPlan::new(&world.net, &endpoints[i], &world.internet.targets));
+            CountrySlot {
+                endpoints,
+                rtt_targets,
+                dns_plans,
+            }
+        })
+        .collect()
 }
 
 /// One seller's shelf for a destination, preprocessed for the per-leg
@@ -123,6 +163,7 @@ struct CountrySlot {
 /// order breaking ties) so "cheapest plan covering the need" is a short
 /// forward scan with no per-leg divisions, plus the precomputed
 /// biggest-plan fallback.
+#[derive(Debug)]
 struct OfferLane {
     /// `(data_gb, offer index)` sorted ascending by `(per_gb, index)`.
     by_value: Vec<(f64, usize)>,
@@ -158,9 +199,78 @@ impl OfferLane {
 
 /// Offer lanes for one destination, split by seller for the purchase
 /// preference draw.
+#[derive(Debug)]
 struct CountryOffers {
     airalo: OfferLane,
     all: OfferLane,
+}
+
+impl CountryOffers {
+    /// `country`'s shelf of `market`.
+    fn build(market: &Market, country: Country) -> Self {
+        let offers = market.offers();
+        let on_shelf: Vec<usize> = (0..offers.len())
+            .filter(|&i| offers[i].country == country)
+            .collect();
+        let airalo = OfferLane::build(
+            offers,
+            on_shelf
+                .iter()
+                .copied()
+                .filter(|&i| offers[i].provider == market.airalo()),
+        );
+        let all = OfferLane::build(offers, on_shelf.into_iter());
+        CountryOffers { airalo, all }
+    }
+}
+
+/// Everything a shard reads that does not depend on its user range,
+/// built once per run and shared by reference: the resolved [`RunSpec`],
+/// the post-setup network (built with the run's telemetry mode, faults
+/// and transport, after the endpoint pool attached), the market, and the
+/// measured countries with their endpoint pool and offer shelves.
+///
+/// The setup is deterministic and independent of the shard's user range,
+/// so a shard starting from a clone of the base's network produces the
+/// same bytes as one that ran the setup itself — setup telemetry records,
+/// warm route cache and lazily filled fault calendars included.
+///
+/// Outside the crate it is an opaque cache handle: a caller that runs
+/// many batches of one run keeps one in an `Option` and hands it to
+/// [`crate::UserBatch::run_reusing`].
+#[derive(Debug)]
+pub struct ShardBase {
+    pub(crate) run: RunSpec,
+    net: Network,
+    pub(crate) market: Market,
+    countries: Vec<Country>,
+    pool: Vec<CountrySlot>,
+    shelves: Vec<CountryOffers>,
+}
+
+impl ShardBase {
+    /// Run every shard's setup once for `run`.
+    pub(crate) fn build(run: &RunSpec) -> Self {
+        let mut world = World::build(run.seed);
+        world.net.set_telemetry_mode(run.telemetry);
+        world.net.set_faults(run.faults);
+        world.net.set_transport(run.transport);
+        let market = Market::generate(run.seed);
+        let countries = world.measured_countries();
+        let pool = endpoint_pool(&mut world, &countries);
+        let shelves = countries
+            .iter()
+            .map(|&c| CountryOffers::build(&market, c))
+            .collect();
+        ShardBase {
+            run: *run,
+            net: world.net,
+            market,
+            countries,
+            pool,
+            shelves,
+        }
+    }
 }
 
 /// Pick an offer deterministically: prefer Airalo's shelf when the user
@@ -235,12 +345,17 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 
 /// Drive one shard through the stack.
 ///
-/// With `spec.resume` set, the world and endpoint pool are rebuilt from
-/// scratch (cheap, deterministic), the report and telemetry are restored
-/// wholesale from the checkpoint, and the user loop starts at
-/// `next_uid` — because every per-user observable derives from the
-/// user's own keyed RNG stream, the byte stream from there on is
-/// exactly what the uninterrupted run would have produced.
+/// The shard starts from a clone of `base`'s post-setup network and
+/// borrows the base's market, endpoint pool and shelves; it never builds
+/// a world itself. Its [`ShardOutcome::wall_ms`] therefore covers the
+/// clone and the user loop, not the setup (and neither do the run's
+/// per-shard timings and skew built from it).
+///
+/// With `spec.resume` set, the report and telemetry are restored
+/// wholesale from the checkpoint over the cloned setup, and the user
+/// loop starts at `next_uid` — because every per-user observable derives
+/// from the user's own keyed RNG stream, the byte stream from there on
+/// is exactly what the uninterrupted run would have produced.
 ///
 /// With `ckpt` set, the shard serializes its partial state to
 /// `shard-NNN.ckpt` atomically each time `every_days` sim-days
@@ -252,7 +367,7 @@ fn draw_kind(rng: &mut SmallRng, mix: SessionMix) -> SessionKind {
 /// with their metric, failed sessions with status only; `NoTarget` is
 /// a scenario gap and stays out, matching the degradation tallies).
 pub(crate) fn run_fleet_shard(
-    run: &RunSpec,
+    base: &ShardBase,
     spec: ShardSpec,
     ckpt: Option<&CheckpointPolicy>,
     record_sessions: bool,
@@ -261,86 +376,40 @@ pub(crate) fn run_fleet_shard(
     let RunSpec {
         seed,
         config,
-        telemetry,
         transport,
-        faults,
-    } = *run;
-    let mut world = World::build(seed);
-    world.net.set_telemetry_mode(telemetry);
-    world.net.set_faults(faults);
-    world.net.set_transport(transport);
-    let market = Market::generate(seed);
-    let countries = world.measured_countries();
-
-    // Stage 1: the fixed endpoint pool, identical in every shard. Attach
-    // first (mutable world), then resolve probe targets (immutable).
-    let mut pool_eps: Vec<[Endpoint; 2]> = Vec::with_capacity(countries.len());
-    for &country in &countries {
-        pool_eps.push([world.attach_esim(country), world.attach_esim(country)]);
-    }
-    let pool: Vec<CountrySlot> = pool_eps
-        .into_iter()
-        .map(|endpoints| {
-            let rtt_targets = [0, 1].map(|i| {
-                world.internet.targets.nearest(
-                    &world.net,
-                    Service::Google,
-                    endpoints[i].att.breakout_city,
-                )
-            });
-            let dns_plans = [0, 1]
-                .map(|i| ResolverPlan::new(&world.net, &endpoints[i], &world.internet.targets));
-            CountrySlot {
-                endpoints,
-                rtt_targets,
-                dns_plans,
-            }
-        })
-        .collect();
-    let shelves: Vec<CountryOffers> = countries
-        .iter()
-        .map(|&c| {
-            let on_shelf: Vec<usize> = market
-                .offers()
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.country == c)
-                .map(|(i, _)| i)
-                .collect();
-            let airalo = OfferLane::build(
-                market.offers(),
-                on_shelf
-                    .iter()
-                    .copied()
-                    .filter(|&i| market.offers()[i].provider == market.airalo()),
-            );
-            let all = OfferLane::build(market.offers(), on_shelf.into_iter());
-            CountryOffers { airalo, all }
-        })
-        .collect();
-    let country_index = |c: roam_geo::Country| {
+        ..
+    } = base.run;
+    let mut net = base.net.clone();
+    let ShardBase {
+        market,
+        countries,
+        pool,
+        shelves,
+        ..
+    } = base;
+    let country_index = |c: Country| {
         countries
             .iter()
             .position(|&x| x == c)
             .expect("legs only visit measured countries")
     };
 
-    // Resume point: restore the prefix aggregates *after* the setup above
+    // Resume point: restore the prefix aggregates over the cloned setup
     // so the restored telemetry (which already contains the original
-    // run's setup records) replaces this rebuild's, never duplicates it.
+    // run's setup records) replaces the clone's, never duplicates it.
     let (start_uid, mut report) = match spec.resume {
         Some(state) => {
             debug_assert_eq!(
                 state.index, spec.index,
                 "resume state routed to wrong shard"
             );
-            world.net.telemetry_mut().restore(state.telemetry);
+            net.telemetry_mut().restore(state.telemetry);
             (state.next_uid, state.report)
         }
         None => (spec.lo, FleetReport::new(config.sample)),
     };
 
-    // Stage 2: stream the users. No per-record buffering — every
+    // Stream the users. No per-record buffering — every
     // observation lands in a sketch, a counter or the reservoir.
     // Transfers batch per user: their durations are discarded (see the
     // comment at the push site), so the specs accumulate and run through
@@ -359,13 +428,13 @@ pub(crate) fn run_fleet_shard(
     // appending into this one allocation.
     let mut label = String::with_capacity(48);
     for uid in start_uid..spec.hi {
-        let profile = synthesize(seed, UserId(uid), &countries, config.days);
+        let profile = synthesize(seed, UserId(uid), countries, config.days);
         label.clear();
         label.push_str("fleet/act/");
         push_dec(&mut label, uid);
         let mut act = SmallRng::seed_from_u64(flow_seed(seed, &label));
         report.count_user(profile.class);
-        world.net.telemetry_mut().add(Counter::FleetUsers, 1);
+        net.telemetry_mut().add(Counter::FleetUsers, 1);
         let mut spend_micro = 0u128;
         for (li, leg) in profile.legs.iter().enumerate() {
             let ci = country_index(leg.country);
@@ -382,7 +451,7 @@ pub(crate) fn run_fleet_shard(
             spend_micro += (price * 1e6).round() as u128;
             report.purchases += 1;
             report.price_per_gb.observe(price / offer.data_gb);
-            world.net.telemetry_mut().add(Counter::FleetPurchases, 1);
+            net.telemetry_mut().add(Counter::FleetPurchases, 1);
             let which = (uid % 2) as usize;
             let ep = &slot.endpoints[which];
             let target = slot.rtt_targets[which];
@@ -397,7 +466,7 @@ pub(crate) fn run_fleet_shard(
             let prefix_len = label.len();
             for s in 0..leg.sessions {
                 report.sessions += 1;
-                world.net.telemetry_mut().add(Counter::FleetSessions, 1);
+                net.telemetry_mut().add(Counter::FleetSessions, 1);
                 label.truncate(prefix_len);
                 push_dec(&mut label, u64::from(s));
                 match draw_kind(&mut act, config.mix) {
@@ -406,12 +475,12 @@ pub(crate) fn run_fleet_shard(
                             report.lost_sessions += 1;
                             continue;
                         };
-                        let mut probe = ep.probe(&mut world.net, &label);
+                        let mut probe = ep.probe(&mut net, &label);
                         match probe.rtt_checked(t) {
                             Ok(sample) => {
                                 report.rtt_probes += 1;
                                 report.rtt_ms.observe(sample.rtt_ms);
-                                count_delivered(&mut report, &world.net, sample.status());
+                                count_delivered(&mut report, &net, sample.status());
                                 if record_sessions {
                                     sessions.push(SessionRecord {
                                         rtt_ms: Some(sample.rtt_ms),
@@ -421,7 +490,7 @@ pub(crate) fn run_fleet_shard(
                             }
                             Err(e) => {
                                 report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
+                                count_failed(&mut report, &net, &e);
                                 if record_sessions && !matches!(e, MeasureError::NoTarget) {
                                     sessions.push(session_record(ep, SessionKind::Rtt, e.status()));
                                 }
@@ -429,11 +498,11 @@ pub(crate) fn run_fleet_shard(
                         }
                     }
                     SessionKind::Dns => {
-                        match resolve_timing(&mut world.net, ep, &slot.dns_plans[which], &label) {
+                        match resolve_timing(&mut net, ep, &slot.dns_plans[which], &label) {
                             Ok(r) => {
                                 report.dns_lookups += 1;
                                 report.dns_ms.observe(r.lookup_ms);
-                                count_delivered(&mut report, &world.net, r.status);
+                                count_delivered(&mut report, &net, r.status);
                                 if record_sessions {
                                     sessions.push(SessionRecord {
                                         lookup_ms: Some(r.lookup_ms),
@@ -443,7 +512,7 @@ pub(crate) fn run_fleet_shard(
                             }
                             Err(e) => {
                                 report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
+                                count_failed(&mut report, &net, &e);
                                 if record_sessions && !matches!(e, MeasureError::NoTarget) {
                                     sessions.push(session_record(ep, SessionKind::Dns, e.status()));
                                 }
@@ -460,12 +529,12 @@ pub(crate) fn run_fleet_shard(
                             report.lost_sessions += 1;
                             continue;
                         };
-                        let mut probe = ep.probe(&mut world.net, &label);
+                        let mut probe = ep.probe(&mut net, &label);
                         let sample = match probe.rtt_checked(t) {
                             Ok(s) => s,
                             Err(e) => {
                                 report.lost_sessions += 1;
-                                count_failed(&mut report, &world.net, &e);
+                                count_failed(&mut report, &net, &e);
                                 if record_sessions && !matches!(e, MeasureError::NoTarget) {
                                     sessions.push(session_record(
                                         ep,
@@ -484,9 +553,7 @@ pub(crate) fn run_fleet_shard(
                         // backend. The drawn size is the recorded
                         // observable — so the spec only queues here and
                         // the batch runs once per user.
-                        world
-                            .net
-                            .telemetry_mut()
+                        net.telemetry_mut()
                             .add(Counter::TransferBytes, (mb * 1e6) as u64);
                         pending_transfers.push(TransferSpec {
                             bytes: mb * 1e6,
@@ -498,7 +565,7 @@ pub(crate) fn run_fleet_shard(
                         });
                         report.transfers += 1;
                         report.session_mb.observe(mb);
-                        count_delivered(&mut report, &world.net, sample.status());
+                        count_delivered(&mut report, &net, sample.status());
                         if record_sessions {
                             sessions.push(SessionRecord {
                                 mb: Some(mb),
@@ -538,7 +605,7 @@ pub(crate) fn run_fleet_shard(
                     index: spec.index,
                     next_uid: uid + 1,
                     report: report.clone(),
-                    telemetry: world.net.telemetry_mut().snapshot().clone(),
+                    telemetry: net.telemetry_mut().snapshot().clone(),
                 };
                 checkpoint::write_shard(&policy.dir, &state).expect("checkpoint shard write");
                 checkpoints_written += 1;
@@ -549,7 +616,7 @@ pub(crate) fn run_fleet_shard(
             }
         }
     }
-    let snap = world.net.take_telemetry();
+    let snap = net.take_telemetry();
     ShardOutcome {
         index: spec.index,
         report,
@@ -564,6 +631,109 @@ pub(crate) fn run_fleet_shard(
 mod tests {
     use super::*;
     use roam_econ::Market;
+
+    /// A small heavy-fault run observed in `telemetry`.
+    fn heavy_run(telemetry: TelemetryMode) -> RunSpec {
+        RunSpec {
+            seed: 11,
+            config: FleetConfig {
+                days: 3,
+                ..FleetConfig::default()
+            },
+            telemetry,
+            transport: TransportKind::ClosedForm,
+            faults: FaultSpec::heavy(),
+        }
+    }
+
+    /// Everything a shard hands the merger, minus wall time.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        index: usize,
+        users: u64,
+        report: String,
+        snap: TelemetrySnapshot,
+        sessions: Vec<SessionRecord>,
+        completed: bool,
+    }
+
+    fn observe(o: ShardOutcome) -> Observed {
+        Observed {
+            index: o.index,
+            users: o.report.users,
+            report: o.report.render(),
+            snap: o.snap,
+            sessions: o.sessions,
+            completed: o.completed,
+        }
+    }
+
+    /// Three shards over users `[0, 36)`; the last resumes mid-range from
+    /// the state a shard over its prefix left behind.
+    fn shard_specs(run: &RunSpec) -> Vec<ShardSpec> {
+        let spec = |index, lo, hi, resume| ShardSpec {
+            index,
+            lo,
+            hi,
+            resume,
+            attempt: 0,
+        };
+        let prefix = run_fleet_shard(&ShardBase::build(run), spec(2, 24, 30, None), None, false);
+        let state = ShardState {
+            index: 2,
+            next_uid: 30,
+            report: prefix.report,
+            telemetry: prefix.snap,
+        };
+        vec![
+            spec(0, 0, 12, None),
+            spec(1, 12, 24, None),
+            spec(2, 24, 36, Some(state)),
+        ]
+    }
+
+    #[test]
+    fn shards_on_a_shared_base_equal_shards_on_their_own() {
+        for telemetry in [TelemetryMode::Summary, TelemetryMode::Jsonl] {
+            let run = heavy_run(telemetry);
+            let specs = shard_specs(&run);
+            for record in [false, true] {
+                let own: Vec<Observed> = specs
+                    .iter()
+                    .map(|s| {
+                        let base = ShardBase::build(&run);
+                        observe(run_fleet_shard(&base, s.clone(), None, record))
+                    })
+                    .collect();
+                let base = ShardBase::build(&run);
+                let forward: Vec<Observed> = specs
+                    .iter()
+                    .map(|s| observe(run_fleet_shard(&base, s.clone(), None, record)))
+                    .collect();
+                let mut reverse: Vec<Observed> = specs
+                    .iter()
+                    .rev()
+                    .map(|s| observe(run_fleet_shard(&base, s.clone(), None, record)))
+                    .collect();
+                reverse.reverse();
+                assert_eq!(forward, own, "{telemetry:?} record={record}");
+                assert_eq!(reverse, own, "{telemetry:?} record={record}");
+
+                // The comparison has teeth: faults bit, telemetry and
+                // sessions were recorded, and the resumed shard carried
+                // its prefix.
+                assert!(own
+                    .iter()
+                    .any(|o| o.report.contains("timeout") || o.report.contains("failover")));
+                assert!(own.iter().all(|o| o.snap.counters.iter().any(|&c| c > 0)));
+                assert_eq!(own.iter().all(|o| !o.sessions.is_empty()), record);
+                assert!(own.iter().all(|o| o.users == 12 && o.completed));
+                if telemetry == TelemetryMode::Jsonl {
+                    assert!(own.iter().all(|o| !o.snap.events.is_empty()));
+                }
+            }
+        }
+    }
 
     /// The pre-lane `choose_offer`, kept as the reference model: filter /
     /// `min_by` / `max_by` straight over the index lists.
@@ -619,10 +789,7 @@ mod tests {
                 .copied()
                 .filter(|&i| offers[i].provider == market.airalo())
                 .collect();
-            let shelf = CountryOffers {
-                airalo: OfferLane::build(offers, airalo_idx.iter().copied()),
-                all: OfferLane::build(offers, all_idx.iter().copied()),
-            };
+            let shelf = CountryOffers::build(&market, country);
             // Sweep needs across and beyond every shelf size, both
             // preference branches.
             for tenth_gb in 0..400u32 {

@@ -14,12 +14,14 @@
 //!
 //! The determinism contract has three legs:
 //!
-//! 1. **Identical stages.** Every shard builds the same seeded
-//!    [`roam_world::World`] and attaches the same fixed endpoint pool
-//!    (two eSIMs per measured country, in country order) *before*
-//!    touching any user, so the world RNG and per-country provider
-//!    alternation are consumed identically no matter which user range
-//!    the shard owns.
+//! 1. **Identical stages.** Every shard starts from the same post-setup
+//!    state: the seeded [`roam_world::World`] with the fixed endpoint
+//!    pool attached (two eSIMs per measured country, in country order)
+//!    *before* any user is touched, so the world RNG and per-country
+//!    provider alternation are consumed identically no matter which
+//!    user range the shard owns. That state is built once per run (per
+//!    worker process, per batch) as a [`crate::ShardBase`] and each
+//!    shard clones its network.
 //! 2. **Per-user streams.** Everything about user `u` — profile,
 //!    purchases, session mix, measurement flows — derives from
 //!    `flow_seed(master, "fleet/…/u")`, never from execution order.
@@ -36,7 +38,7 @@
 
 use crate::checkpoint::{self, CheckpointPolicy, Manifest, ResumeError, ShardState};
 use crate::config::{env_parse, FleetConfig, SessionMix};
-use crate::exec::{run_fleet_shard, RunSpec};
+use crate::exec::{run_fleet_shard, RunSpec, ShardBase};
 use crate::merge::merge_outcomes;
 use crate::plan;
 use crate::report::FleetReport;
@@ -59,7 +61,9 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
 pub struct FleetShardTiming {
     /// Stable shard key (`"fleet/000"`…).
     pub key: String,
-    /// Wall-clock milliseconds on its worker.
+    /// Wall-clock milliseconds on its worker, excluding the run's shared
+    /// setup (world, market and endpoint pool are built once per run or
+    /// worker process, not per shard).
     pub wall_ms: f64,
 }
 
@@ -675,8 +679,14 @@ impl FleetRunner {
             run.supervision = supervised.stats;
             return Ok(run);
         }
+        let base = ShardBase::build(&run);
         let outcomes = run_shards(self.mode, shards, |i| {
-            run_fleet_shard(&run, plans[i].clone(), policy.as_ref(), self.sink.is_some())
+            run_fleet_shard(
+                &base,
+                plans[i].clone(),
+                policy.as_ref(),
+                self.sink.is_some(),
+            )
         });
         if let Some(sink) = &self.sink {
             // Stream in shard-index order (sessions within a shard are

@@ -52,7 +52,7 @@
 //! past the deadline, truncate or bit-flip a result frame, exit
 //! nonzero); the parent supervises them like any real-world failure.
 
-use crate::exec::{run_fleet_shard, ShardOutcome, ShardSpec};
+use crate::exec::{run_fleet_shard, ShardBase, ShardOutcome, ShardSpec};
 use crate::worker::{self, WorkerEvent, WorkerJob};
 use roam_codec::CodecError;
 use roam_netsim::engine::flow_seed;
@@ -707,6 +707,8 @@ pub(crate) fn supervise(
     if !quarantine.is_empty() {
         quarantine.sort_unstable();
         quarantine.dedup();
+        // One setup for every quarantined shard, built on first need.
+        let mut base: Option<ShardBase> = None;
         for index in quarantine {
             let Some(spec) = specs.get(&index) else {
                 continue;
@@ -715,12 +717,8 @@ pub(crate) fn supervise(
                 continue;
             }
             stats.quarantined += 1;
-            let outcome = run_fleet_shard(
-                &job_proto.run,
-                spec.clone(),
-                job_proto.checkpoint.as_ref(),
-                false,
-            );
+            let base = base.get_or_insert_with(|| ShardBase::build(&job_proto.run));
+            let outcome = run_fleet_shard(base, spec.clone(), job_proto.checkpoint.as_ref(), false);
             outcomes.insert(index, outcome);
         }
     }

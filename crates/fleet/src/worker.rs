@@ -42,7 +42,7 @@ use crate::checkpoint::{
     telemetry_to_wire, CheckpointPolicy, ShardState, CKPT_VERSION, KIND_HEARTBEAT, KIND_JOB,
     KIND_RESULT,
 };
-use crate::exec::{run_fleet_shard, RunSpec, ShardOutcome, ShardSpec};
+use crate::exec::{run_fleet_shard, RunSpec, ShardBase, ShardOutcome, ShardSpec};
 use crate::report::FleetReport;
 use crate::supervisor::{InjectedFault, ProtocolViolation, WorkerFaultSpec};
 use roam_codec::{CodecError, Decoder, Encoder, Frame};
@@ -492,6 +492,9 @@ pub fn serve(
         ));
     }
     let job = WorkerJob::decode(frame.payload).map_err(|e| format!("decoding job: {e}"))?;
+    // The job's one setup, built after the first shard's heartbeat so a
+    // slow build is charged to that shard's deadline.
+    let mut base: Option<ShardBase> = None;
     for spec in job.shards {
         let (index, attempt) = (spec.index, spec.attempt);
         output
@@ -519,7 +522,8 @@ pub fn serve(
             }
             _ => {}
         }
-        let outcome = run_fleet_shard(&job.run, spec, job.checkpoint.as_ref(), false);
+        let base = base.get_or_insert_with(|| ShardBase::build(&job.run));
+        let outcome = run_fleet_shard(base, spec, job.checkpoint.as_ref(), false);
         let mut frame = result_frame(&outcome);
         match fault {
             Some(InjectedFault::TornTruncate) => {

@@ -39,7 +39,7 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 
 /// A time-ordered event calendar.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     wheel: Wheel<E>,
     next_seq: u64,
@@ -48,7 +48,7 @@ pub struct EventQueue<E> {
 
 /// One pending event inside the wheel: absolute nanoseconds, scheduling
 /// sequence number, payload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<E> {
     at: u64,
     seq: u64,
@@ -71,7 +71,7 @@ struct Slot<E> {
 ///   — see `place`), sorted by `(at, seq)` descending so the next event
 ///   pops from the back; every slotted event is later than everything in
 ///   `current`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Wheel<E> {
     /// `LEVELS * SLOTS` buckets, allocated lazily on first schedule so an
     /// empty queue (e.g. the hollow value `std::mem::take` leaves behind)

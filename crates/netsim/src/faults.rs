@@ -372,7 +372,7 @@ pub enum NodeFaultState {
 /// calendar, and a query is an index — no hashing on the walk hot path.
 /// Ids are dense network indices, so the table grows to at most the
 /// network's size.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct CalendarTable(Vec<Option<Option<FaultCalendar>>>);
 
 impl CalendarTable {
@@ -394,7 +394,7 @@ impl CalendarTable {
 /// every fault-prone entity, registered failover detours and the plane's
 /// own deterministic counters (kept outside the telemetry plane so
 /// clients can observe failovers even with telemetry off).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FaultPlane {
     spec: FaultSpec,
     enabled: bool,

@@ -383,7 +383,13 @@ enum WalkDir {
 }
 
 /// The simulated network.
-#[derive(Debug)]
+///
+/// `Clone` is a deep, exact copy: the RNG state, the route cache, the
+/// lazily filled fault calendars and the telemetry accumulated so far
+/// all carry over, so a clone walks every later probe exactly as the
+/// original (or a fresh rebuild driven through the same calls) would.
+/// Cached routes are immutable and shared behind their [`Arc`].
+#[derive(Debug, Clone)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -30,14 +30,14 @@ use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::export::BoundedSink;
 use crate::task::{days, Fire, JobHandle, Scheduler, DAY_NS};
 use roam_codec::CodecError;
-use roam_fleet::{FleetReport, ResumeError, SessionKind, SessionRecord, UserBatch};
+use roam_fleet::{
+    endpoint_pool, CountrySlot, FleetReport, ResumeError, SessionKind, SessionRecord, ShardBase,
+    UserBatch,
+};
 use roam_geo::Country;
 use roam_measure::campaign::RecordTag;
-use roam_measure::{
-    resolve_timing, status_code, Endpoint, MeasureError, ResolverPlan, RunMode, Service,
-    STATUS_LABELS,
-};
-use roam_netsim::{FaultSpec, NodeId, SimTime};
+use roam_measure::{resolve_timing, status_code, Endpoint, MeasureError, RunMode, STATUS_LABELS};
+use roam_netsim::{FaultSpec, SimTime};
 use roam_telemetry::{Counter, Recorder, Sink as _, TelemetryMode, TelemetryReport};
 use roam_world::World;
 use std::fmt::Write as _;
@@ -119,14 +119,6 @@ enum JobKind {
     Faults,
 }
 
-/// One vantage country's fixed probe stage, mirroring the fleet shard's
-/// `CountrySlot`: two eSIM attachments with precomputed targets/plans.
-struct VantageSlot {
-    endpoints: [Endpoint; 2],
-    rtt_targets: [Option<NodeId>; 2],
-    dns_plans: [ResolverPlan; 2],
-}
-
 /// The long-running measurement agent. Construct with [`Agent::new`]
 /// (fresh) or [`Agent::resume`] (from a checkpoint), configure with the
 /// builder methods, then [`Agent::run`].
@@ -156,9 +148,14 @@ pub struct Agent {
     /// reported, so checkpoints keep recording an honest durable prefix.
     sink_error: Option<String>,
     tel: Recorder,
+    /// The vantage probes' own world: its telemetry mode is the agent's,
+    /// while cohort batches always record nothing.
     world: World,
-    pool: Vec<VantageSlot>,
+    pool: Vec<CountrySlot>,
     countries: Vec<Country>,
+    /// The cohort batches' shared setup, built by the first non-empty
+    /// tick and reused by every later one.
+    batch_base: Option<ShardBase>,
 }
 
 /// The expected job id list for `config`, in registration order.
@@ -198,10 +195,11 @@ impl Agent {
         Ok(agent)
     }
 
-    /// Rebuild an agent from a decoded checkpoint: the world and pool
-    /// are rebuilt from the seed, every cursor restores from the frame,
-    /// and the scheduler replays the saved job states in registration
-    /// order. The frame's knobs win over the environment.
+    /// Rebuild an agent from a decoded checkpoint: the probe world and
+    /// pool are rebuilt from the seed (the batches' setup is rebuilt by
+    /// the first tick, as in a fresh agent), every cursor restores from
+    /// the frame, and the scheduler replays the saved job states in
+    /// registration order. The frame's knobs win over the environment.
     pub fn resume(state: AgentState) -> Result<Self, ResumeError> {
         let corrupt = |what| {
             ResumeError::Corrupt(
@@ -236,8 +234,10 @@ impl Agent {
         Ok(agent)
     }
 
-    /// The shared skeleton: world, vantage pool, empty scheduler, job
-    /// kind table (jobs themselves are registered by the caller).
+    /// The shared skeleton: probe world and vantage pool (the fleet's
+    /// [`endpoint_pool`]), empty scheduler, job kind table (jobs
+    /// themselves are registered by the caller). The cohort batches'
+    /// setup is not built here but by the first tick that needs it.
     fn shell(
         seed: u64,
         config: ServiceConfig,
@@ -248,29 +248,7 @@ impl Agent {
         world.net.set_telemetry_mode(telemetry);
         world.net.set_faults(faults);
         let countries = world.measured_countries();
-        let mut pool_eps: Vec<[Endpoint; 2]> = Vec::with_capacity(countries.len());
-        for &country in &countries {
-            pool_eps.push([world.attach_esim(country), world.attach_esim(country)]);
-        }
-        let pool: Vec<VantageSlot> = pool_eps
-            .into_iter()
-            .map(|endpoints| {
-                let rtt_targets = [0, 1].map(|i| {
-                    world.internet.targets.nearest(
-                        &world.net,
-                        Service::Google,
-                        endpoints[i].att.breakout_city,
-                    )
-                });
-                let dns_plans = [0, 1]
-                    .map(|i| ResolverPlan::new(&world.net, &endpoints[i], &world.internet.targets));
-                VantageSlot {
-                    endpoints,
-                    rtt_targets,
-                    dns_plans,
-                }
-            })
-            .collect();
+        let pool = endpoint_pool(&mut world, &countries);
         let mut kinds: Vec<JobKind> = (0..config.cohorts).map(JobKind::Cohort).collect();
         kinds.extend((0..countries.len()).map(JobKind::Probe));
         kinds.push(JobKind::Faults);
@@ -299,6 +277,7 @@ impl Agent {
             world,
             pool,
             countries,
+            batch_base: None,
         }
     }
 
@@ -405,8 +384,8 @@ impl Agent {
         }
     }
 
-    /// One cohort tick: batch the live window through the fleet plane,
-    /// then draw churn (and possibly the TTL expiry) on the tick's own
+    /// One cohort tick: batch the live window through the fleet plane
+    /// (on the agent's cached batch setup), then draw churn (and possibly the TTL expiry) on the tick's own
     /// stream.
     fn tick_cohort(&mut self, k: usize, fire: Fire) {
         let (lo, hi) = self.cohorts[k].live_range();
@@ -421,7 +400,7 @@ impl Agent {
             faults: Some(self.faults),
             record_sessions: self.sink.is_some(),
         };
-        let run = batch.run();
+        let run = batch.run_reusing(&mut self.batch_base);
         self.report.merge(&run.report);
         self.push_records(&run.sessions);
         let ttl = self.config.ttl_ticks;
