@@ -1,9 +1,9 @@
 //! Criterion micro/meso-benchmarks for the simulator's hot paths.
 //!
 //! These are performance benchmarks (the figure reproductions live in
-//! `src/bin/`): wire codecs, the event-driven traceroute walk, session
-//! establishment, routing, the statistics kernels, and the economics
-//! pipeline.
+//! `src/bin/`): wire codecs, the traceroute sweep (arithmetic and with
+//! the packet story), session establishment, routing, the statistics
+//! kernels, and the economics pipeline.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -142,6 +142,21 @@ fn bench_netsim(c: &mut Criterion) {
             )
         })
     });
+    // The same sweep with the packet story on: every probe and answer is
+    // encoded and walked through the event calendar. The ratio to
+    // `traceroute_walk` is what the arithmetic sweep saves. Re-enabling
+    // each iteration discards the previous story, so memory stays flat.
+    g.bench_function("traceroute_packet_story", |b| {
+        b.iter(|| {
+            world.net.enable_tracing();
+            black_box(
+                world
+                    .net
+                    .traceroute(ep.att.ue, google, TracerouteOpts::default()),
+            )
+        })
+    });
+    world.net.disable_tracing();
     g.finish();
 }
 

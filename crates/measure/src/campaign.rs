@@ -525,7 +525,9 @@ fn execute_measurement(
 
 /// Run the full device campaign for one country: the given counts on the
 /// physical-SIM endpoint and on the eSIM endpoint, alternating as the real
-/// testbed did.
+/// testbed did. Each endpoint's measurements see the registry narrowed to
+/// its breakout city ([`ServiceTargets::narrowed_to`]), so target
+/// selection costs one scan per endpoint, not one per measurement.
 pub fn run_device_campaign(
     net: &mut Network,
     sim: &Endpoint,
@@ -535,8 +537,9 @@ pub fn run_device_campaign(
 ) -> CampaignData {
     let mut data = CampaignData::default();
     for ep in [sim, esim] {
+        let view = targets.narrowed_to(net, ep.att.breakout_city);
         for m in spec.plan(ep.sim_type) {
-            run_measurement(net, ep, targets, m, &mut data);
+            run_measurement(net, ep, &view, m, &mut data);
         }
     }
     data

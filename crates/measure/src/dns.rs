@@ -51,12 +51,12 @@ pub struct DnsResult {
 /// anycast coin is a pure function of the topology and the endpoint's DNS
 /// mode, so population-scale callers build one plan per endpoint and skip
 /// the per-lookup clone-and-sort of the whole Google site list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolverPlan {
     choice: ResolverChoice,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResolverChoice {
     /// No resolver registered for this mode — every lookup is `NoTarget`.
     Unreachable,

@@ -123,19 +123,46 @@ impl ServiceTargets {
         v
     }
 
+    /// The registry as the clients of one endpoint whose traffic breaks
+    /// out in `city` see it: each service narrowed to its node nearest to
+    /// `city`, the Google DNS sites narrowed to the nearest two in
+    /// distance order, and every origin and operator resolver kept. Every
+    /// [`ServiceTargets::nearest`], [`ServiceTargets::google_dns_by_distance`]
+    /// (first two entries) and resolver plan asked from `city` answers as
+    /// on the full registry, without rescanning it per measurement.
+    #[must_use]
+    pub fn narrowed_to(&self, net: &Network, city: City) -> ServiceTargets {
+        let nodes = self
+            .nodes
+            .iter()
+            .filter_map(|(&service, nodes)| {
+                Some((service, vec![Self::nearest_of(net, nodes, city)?]))
+            })
+            .collect();
+        let mut google_dns = self.google_dns_by_distance(net, city);
+        google_dns.truncate(2);
+        ServiceTargets {
+            nodes,
+            origins: self.origins.clone(),
+            google_dns,
+            operator_dns: self.operator_dns.clone(),
+        }
+    }
+
     /// The resolver run by `mno`, if registered.
     #[must_use]
     pub fn operator_dns(&self, mno: roam_cellular::MnoId) -> Option<NodeId> {
         self.operator_dns.get(&mno.0).copied()
     }
 
+    /// The first of the nearest `nodes` (each distance computed once).
     fn nearest_of(net: &Network, nodes: &[NodeId], city: City) -> Option<NodeId> {
         let here = city.location();
-        nodes.iter().copied().min_by(|a, b| {
-            let da = net.node(*a).city.location().distance_km(here);
-            let db = net.node(*b).city.location().distance_km(here);
-            da.partial_cmp(&db).expect("no NaN distances")
-        })
+        nodes
+            .iter()
+            .map(|&n| (net.node(n).city.location().distance_km(here), n))
+            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN distances"))
+            .map(|(_, n)| n)
     }
 }
 

@@ -382,6 +382,15 @@ enum WalkDir {
     Reverse,
 }
 
+/// How an arithmetic leg ends at its last node, `nodes[upto]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LegEnd {
+    /// The packet is delivered there.
+    Deliver,
+    /// Its TTL runs out there (a traceroute probe short of the far end).
+    Expire,
+}
+
 /// The simulated network.
 ///
 /// `Clone` is a deep, exact copy: the RNG state, the route cache, the
@@ -949,8 +958,16 @@ impl Network {
         last: usize,
         rng: &mut SmallRng,
     ) -> Option<PingResult> {
-        let t_fwd = self.walk_fast::<COUNT>(path, last, WalkDir::Forward, SimTime::ZERO, rng)?;
-        let t_total = self.walk_fast::<COUNT>(path, last, WalkDir::Reverse, t_fwd, rng)?;
+        let t_fwd = self.walk_fast::<COUNT>(
+            path,
+            last,
+            WalkDir::Forward,
+            LegEnd::Deliver,
+            SimTime::ZERO,
+            rng,
+        )?;
+        let t_total =
+            self.walk_fast::<COUNT>(path, last, WalkDir::Reverse, LegEnd::Deliver, t_fwd, rng)?;
         Some(PingResult {
             rtt_ms: t_total.as_ms(),
         })
@@ -1004,6 +1021,22 @@ impl Network {
     ) -> Traceroute {
         let last = path.len() - 1;
         let (src, dst) = (path[0], path[last]);
+        // Same gate as the echo fast path: without the packet story, and
+        // with the path too short for the answer's TTL of 64 to run out,
+        // both legs of every probe ride the arithmetic walk. The TTL
+        // decrement draws nothing, so a forward leg that stops where the
+        // probe's TTL runs out makes exactly the calendar walk's draws
+        // (pinned by `fast_and_slow_traceroutes_agree_exactly` and the
+        // `prop_traceroute` oracle).
+        let fast = !self.telemetry.traces_packets() && last < 64;
+        let count = self.telemetry.mode().enabled();
+        let leg = |net: &mut Self, upto, dir, end, start, rng: &mut SmallRng| {
+            if count {
+                net.walk_fast::<true>(path, upto, dir, end, start, rng)
+            } else {
+                net.walk_fast::<false>(path, upto, dir, end, start, rng)
+            }
+        };
         let mut hops = Vec::new();
         let mut reached = false;
         // TTL 1 expires at the first node *after* the source.
@@ -1016,23 +1049,31 @@ impl Network {
             };
             let mut hit_dst = false;
             for probe in 0..opts.probes_per_hop {
+                // Advanced on either walk, so the ident counter a clone
+                // carries does not depend on the packet story.
                 let ident = self.next_ident();
-                self.build_echo_into(pkt, src, dst, ident, probe as u16, ttl);
-                let Some((arrived, t_fwd, expired_at)) =
-                    self.walk(path, last, WalkDir::Forward, pkt, SimTime::ZERO, rng)
-                else {
-                    continue; // probe lost on the way out
-                };
-                // `pos` is the responder's index on the path: the walk
-                // reports where the TTL ran out, so no scan is needed.
-                let pos = if arrived {
-                    last
+                // `(pos, t_fwd)`: the responder's index on the path (the
+                // far end, or where the TTL ran out) and the arrival time.
+                let forward = if fast {
+                    let upto = usize::from(ttl).min(last);
+                    let end = if upto == last {
+                        LegEnd::Deliver
+                    } else {
+                        LegEnd::Expire
+                    };
+                    leg(self, upto, WalkDir::Forward, end, SimTime::ZERO, rng).map(|t| (upto, t))
                 } else {
-                    match expired_at {
-                        Some(n) => n,
-                        None => continue,
+                    self.build_echo_into(pkt, src, dst, ident, probe as u16, ttl);
+                    match self.walk(path, last, WalkDir::Forward, pkt, SimTime::ZERO, rng) {
+                        Some((true, t, _)) => Some((last, t)),
+                        Some((false, t, Some(n))) => Some((n, t)),
+                        _ => None,
                     }
                 };
+                let Some((pos, t_fwd)) = forward else {
+                    continue; // probe lost on the way out
+                };
+                let arrived = pos == last;
                 let responder = path[pos];
                 let (r_ip, r_responds) = {
                     let n = self.node(responder);
@@ -1043,15 +1084,18 @@ impl Network {
                 }
                 // The ICMP answer (echo reply or time exceeded) retraces the
                 // path from the responder back to the source.
-                self.build_answer_into(pkt, responder, src, arrived);
-                let Some((back_ok, t_total, _)) =
-                    self.walk(path, pos, WalkDir::Reverse, pkt, t_fwd, rng)
-                else {
+                let back = if fast {
+                    leg(self, pos, WalkDir::Reverse, LegEnd::Deliver, t_fwd, rng)
+                } else {
+                    self.build_answer_into(pkt, responder, src, arrived);
+                    match self.walk(path, pos, WalkDir::Reverse, pkt, t_fwd, rng) {
+                        Some((true, t, _)) => Some(t),
+                        _ => None,
+                    }
+                };
+                let Some(t_total) = back else {
                     continue; // reply lost
                 };
-                if !back_ok {
-                    continue;
-                }
                 hop.node = Some(responder);
                 hop.ip = Some(r_ip);
                 hop.rtts.push(t_total.as_ms());
@@ -1230,6 +1274,10 @@ impl Network {
     /// extends with competing in-flight packets. Returns `None` when a
     /// link drops the packet; otherwise `(delivered_to_last_node,
     /// arrival_time, path_index_where_ttl_expired)`.
+    ///
+    /// Only the packet story (and paths of 64 hops or more) take this
+    /// walk; every other echo and traceroute leg rides the arithmetic
+    /// [`Network::walk_fast`], with this walk as its oracle.
     fn walk(
         &mut self,
         route: &RoutePath,
@@ -1355,15 +1403,18 @@ impl Network {
     /// consults and clock arithmetic to [`Network::walk`], minus the
     /// encoded packet and the event calendar. Valid only when the packet
     /// story is off (there are no packet records to write) and
-    /// `upto < 64` (the echo TTL cannot expire, so the in-byte decrement
-    /// is unobservable). Returns the arrival time at the far end of the
-    /// leg, or `None` when a lossy link or a dark node ate the packet —
-    /// the fault plane's own drop/failover tallies still advance, because
-    /// they live in [`FaultPlane`], not in telemetry.
+    /// `upto < 64` (a TTL of 64 cannot run out, so the in-byte decrement
+    /// is unobservable). A traceroute probe whose smaller TTL runs out at
+    /// `nodes[upto]` walks with [`LegEnd::Expire`]: the decrement draws
+    /// nothing, so stopping there is the calendar walk's expiry. Returns
+    /// the arrival time at `nodes[upto]`, or `None` when a lossy link or
+    /// a dark node ate the packet — the fault plane's own drop/failover
+    /// tallies still advance, because they live in [`FaultPlane`], not in
+    /// telemetry.
     ///
     /// With `COUNT` the walk tallies what the calendar walk would have
-    /// booked — packets sent, forwarded, delivered and dropped, fault
-    /// drops and failovers, one calendar event per scheduled hop — and
+    /// booked — packets sent, forwarded, delivered, expired and dropped,
+    /// fault drops and failovers, one calendar event per scheduled hop — and
     /// flushes the tally once at the end. A linear walk holds exactly one
     /// pending arrival after each schedule, so every calendar-depth
     /// observation is 1.0. Without `COUNT` the tally compiles away and
@@ -1373,6 +1424,7 @@ impl Network {
         route: &RoutePath,
         upto: usize,
         dir: WalkDir,
+        end: LegEnd,
         start: SimTime,
         rng: &mut SmallRng,
     ) -> Option<SimTime> {
@@ -1427,7 +1479,10 @@ impl Network {
                 }
                 if step == upto {
                     if COUNT {
-                        tally.delivered += 1;
+                        match end {
+                            LegEnd::Deliver => tally.delivered += 1,
+                            LegEnd::Expire => tally.expired += 1,
+                        }
                     }
                     break 'walk Some(now);
                 }
@@ -1480,6 +1535,7 @@ struct WalkTally {
     sent: u64,
     forwarded: u64,
     delivered: u64,
+    expired: u64,
     link_drops: u64,
     fault_drops: u64,
     failovers: u64,
@@ -1492,6 +1548,7 @@ impl WalkTally {
         telemetry.add(Counter::PacketsSent, self.sent);
         telemetry.add(Counter::PacketsForwarded, self.forwarded);
         telemetry.add(Counter::PacketsDelivered, self.delivered);
+        telemetry.add(Counter::TtlExpired, self.expired);
         telemetry.add(Counter::PacketsDropped, self.link_drops + self.fault_drops);
         telemetry.add(Counter::FaultDrops, self.fault_drops);
         telemetry.add(Counter::FaultFailovers, self.failovers);
@@ -1870,6 +1927,62 @@ mod tests {
         assert_eq!(fast, slow);
         assert!(fast.iter().any(Option::is_some));
         assert!(fast.iter().any(Option::is_none), "loss must fire at 15%");
+    }
+
+    #[test]
+    fn fast_and_slow_traceroutes_agree_exactly() {
+        use crate::engine::{flow_seed, Flow};
+        use roam_telemetry::TelemetryMode;
+        // The traceroute twin of the ping test: same sweeps with and
+        // without the packet story, under Summary telemetry so the
+        // expiring legs' counters are compared too. The first router is
+        // ICMP-silent, so every sweep also crosses a silent hop.
+        let run = |trace: bool| {
+            let (mut net, ue, sp) = spiky_chain();
+            let r1 = net.node_id_by_name("core-r1").unwrap();
+            net.set_icmp_responds(r1, false);
+            net.set_telemetry_mode(TelemetryMode::Summary);
+            if trace {
+                net.enable_tracing();
+            }
+            let sweeps = (0..60u32)
+                .map(|i| {
+                    let mut flow = Flow::open(flow_seed(7, &format!("tr/{i}")));
+                    let opts = TracerouteOpts {
+                        max_ttl: 2 + (i % 6) as u8,
+                        probes_per_hop: 1 + i % 3,
+                    };
+                    let tr = net.traceroute_flow(ue, sp, opts, &mut flow);
+                    let hops = tr
+                        .hops
+                        .iter()
+                        .map(|h| {
+                            let rtts = h.rtts.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                            (h.ttl, h.node, h.ip, rtts)
+                        })
+                        .collect::<Vec<_>>();
+                    (hops, tr.reached)
+                })
+                .collect::<Vec<_>>();
+            (sweeps, net.take_telemetry().counters, net.icmp_ident)
+        };
+        let (fast, fast_counters, fast_ident) = run(false);
+        let (slow, slow_counters, slow_ident) = run(true);
+        assert_eq!(fast, slow);
+        assert_eq!(fast_counters, slow_counters);
+        assert_eq!(fast_ident, slow_ident, "one ident per probe on either walk");
+        let c = |k: Counter| fast_counters[k as usize];
+        assert!(c(Counter::PacketsDropped) > 0, "loss must fire at 15%");
+        assert!(
+            c(Counter::TtlExpired) > 0,
+            "short TTLs must expire en route"
+        );
+        assert!(
+            fast.iter().any(|(hops, _)| hops[0].1.is_none()),
+            "the silent first router must leave its hop empty"
+        );
+        assert!(fast.iter().any(|(_, reached)| *reached));
+        assert!(fast.iter().any(|(_, reached)| !*reached));
     }
 
     #[test]

@@ -82,6 +82,11 @@ pub struct PrefixInfo {
 #[derive(Debug, Default, Clone)]
 pub struct IpRegistry {
     prefixes: Vec<PrefixInfo>,
+    /// Exact-match index: each registered prefix maps to the position in
+    /// `prefixes` of its last registration.
+    by_net: HashMap<Ipv4Net, usize>,
+    /// Bit `len` is set when some registered prefix is `len` bits long.
+    lens: u64,
     /// Next free host index per registered prefix (for allocation).
     next_host: HashMap<Ipv4Net, u64>,
 }
@@ -96,6 +101,8 @@ impl IpRegistry {
     /// Register a prefix. Later registrations may be more or less specific
     /// than earlier ones; lookup always prefers the longest match.
     pub fn register(&mut self, net: Ipv4Net, asn: Asn, org: &str, city: City) {
+        self.by_net.insert(net, self.prefixes.len());
+        self.lens |= 1 << net.prefix_len();
         self.prefixes.push(PrefixInfo {
             net,
             asn,
@@ -104,13 +111,20 @@ impl IpRegistry {
         });
     }
 
-    /// Longest-prefix-match lookup.
+    /// Longest-prefix-match lookup: probes the exact-match index once per
+    /// registered prefix length, longest first. Among registrations of the
+    /// same prefix, the last one wins.
     #[must_use]
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<&PrefixInfo> {
-        self.prefixes
-            .iter()
-            .filter(|p| p.net.contains(ip))
-            .max_by_key(|p| p.net.prefix_len())
+        let mut lens = self.lens;
+        while lens != 0 {
+            let len = 63 - lens.leading_zeros() as u8;
+            lens &= !(1 << len);
+            if let Some(&i) = self.by_net.get(&Ipv4Net::new(ip, len)) {
+                return Some(&self.prefixes[i]);
+            }
+        }
+        None
     }
 
     /// ASN of `ip`, if registered.
@@ -124,7 +138,7 @@ impl IpRegistry {
     /// always usable as endpoint identifiers.
     pub fn allocate(&mut self, net: Ipv4Net) -> Option<Ipv4Addr> {
         debug_assert!(
-            self.prefixes.iter().any(|p| p.net == net),
+            self.by_net.contains_key(&net),
             "allocating from unregistered prefix {net}"
         );
         let idx = self.next_host.entry(net).or_insert(1);
