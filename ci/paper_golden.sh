@@ -1,60 +1,57 @@
 #!/usr/bin/env bash
 # Golden digests for the traceroute-driven paper figures.
 #
-# Runs table2_tomography, fig06/fig07/fig10/fig12, table4_device_campaign
-# and val_emnify twice each: with the default configuration, and with
-# ROAM_FAULTS=heavy ROAM_TELEMETRY=jsonl (degraded run, event stream and
-# telemetry summary appended to stdout). The sha256 of every stdout is
-# compared against ci/paper_digests.txt, so any change to a traceroute,
-# a draw order or a telemetry byte fails loudly.
+# Builds and runs table2_tomography, fig06/fig07/fig10/fig12,
+# table4_device_campaign and val_emnify twice each: with the default
+# configuration, and with ROAM_FAULTS=heavy ROAM_TELEMETRY=jsonl (degraded
+# run, event stream and telemetry summary appended to stdout). The sha256
+# of every stdout is compared against ci/paper_digests.txt.
 #
-# Usage: ci/paper_golden.sh [check|record]
-#   check   (default) compare against ci/paper_digests.txt
-#   record  rewrite ci/paper_digests.txt from the current binaries
-#   ROAM_BIN_DIR   directory holding the release binaries
-#                  (default target/release; built if missing)
+# Table 2, the figures and Table 4 print RTTs and telemetry, so their
+# digests pin draw order, RTT bits and counters. val_emnify prints only a
+# traceroute count and a correct/total tally: its two lines pin the
+# demarcation verdicts and that the validation still holds (it panics on
+# a miss) under heavy faults, not RTT or telemetry bytes.
+#
+# Usage: ci/paper_golden.sh
+# On a mismatch, `diff -u` prints the new lines; paste them into
+# ci/paper_digests.txt when a change to the output is intended.
 set -euo pipefail
 
-mode=${1:-check}
-here=$(cd "$(dirname "$0")" && pwd)
-digests="$here/paper_digests.txt"
-bin_dir=${ROAM_BIN_DIR:-target/release}
+cd "$(dirname "$0")/.."
+digests=ci/paper_digests.txt
 bins=(table2_tomography fig06_unique_asns fig07_private_path fig10_public_path
       fig12_private_share table4_device_campaign val_emnify)
 
-if [ -z "${ROAM_BIN_DIR:-}" ]; then
-  args=()
-  for b in "${bins[@]}"; do args+=(--bin "$b"); done
-  cargo build -q --release --offline -p roam-bench "${args[@]}"
-fi
+args=()
+for b in "${bins[@]}"; do args+=(--bin "$b"); done
+cargo build -q --release --offline -p roam-bench "${args[@]}"
 
-out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# run <bin> <label> [VAR=value...]: hash the binary's stdout into
+# $tmp/digests; on failure, show its stderr and stop.
+run() {
+  local b=$1 label=$2
+  shift 2
+  if ! env -u ROAM_FAULTS -u ROAM_TELEMETRY -u ROAM_PARALLEL -u ROAM_TRANSPORT "$@" \
+      "target/release/$b" > "$tmp/stdout" 2> "$tmp/stderr"; then
+    cat "$tmp/stderr" >&2
+    echo "paper golden: $b ($label) failed" >&2
+    exit 1
+  fi
+  echo "$(sha256sum < "$tmp/stdout" | cut -d' ' -f1)  $b $label" >> "$tmp/digests"
+}
 
 for b in "${bins[@]}"; do
-  d=$(env -u ROAM_FAULTS -u ROAM_TELEMETRY -u ROAM_PARALLEL -u ROAM_TRANSPORT \
-        "$bin_dir/$b" 2>/dev/null | sha256sum | cut -d' ' -f1)
-  echo "$d  $b default" >> "$out"
-  d=$(env -u ROAM_PARALLEL -u ROAM_TRANSPORT ROAM_FAULTS=heavy ROAM_TELEMETRY=jsonl \
-        "$bin_dir/$b" 2>/dev/null | sha256sum | cut -d' ' -f1)
-  echo "$d  $b heavy-jsonl" >> "$out"
+  run "$b" default
+  run "$b" heavy-jsonl ROAM_FAULTS=heavy ROAM_TELEMETRY=jsonl
 done
 
-case "$mode" in
-  record)
-    cp "$out" "$digests"
-    echo "recorded $(wc -l < "$digests") digests into $digests"
-    ;;
-  check)
-    if diff -u "$digests" "$out"; then
-      echo "paper golden: all $(wc -l < "$out") digests match"
-    else
-      echo "paper golden: digests differ from $digests" >&2
-      exit 1
-    fi
-    ;;
-  *)
-    echo "usage: ci/paper_golden.sh [check|record]" >&2
-    exit 2
-    ;;
-esac
+if diff -u "$digests" "$tmp/digests"; then
+  echo "paper golden: all $(wc -l < "$tmp/digests") digests match"
+else
+  echo "paper golden: digests differ from $digests" >&2
+  exit 1
+fi
